@@ -49,6 +49,21 @@ def test_counts_match_bruteforce_bitwise():
     assert ksg_mi(x, y, KSGConfig(k=5)) == ksg_mi_bruteforce(x, y, 5)
 
 
+def test_golden_estimates_bitwise():
+    # pinned as float.hex so any change to tree traversal, threading or
+    # summation order that moves an estimate by one ulp fails here
+    from cmigan.datagen import gen_cit, gen_linear3
+    from cmigan.estimators import estimate
+
+    s, _ = gen_linear3(2000, 5, seed=0)
+    assert estimate(s, "ksg").mean.hex() == "0x1.8be6d26808bb0p-1"
+    cit, _, label = gen_cit(2000, 1, True, 0)
+    assert label == "CD"
+    assert estimate(cit, "ksg").mean.hex() == "0x1.94e81264cf800p-8"
+    x, y = _correlated_pair(2000, 0.6, seed=11)
+    assert ksg_mi(x, y).hex() == "0x1.c6c8818c34e00p-3"
+
+
 def test_permutation_invariance_exact():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((500, 1))
