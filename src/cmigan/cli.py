@@ -263,11 +263,31 @@ def cmd_datagen(args) -> int:
     return EXIT_OK
 
 
+def _replay_config(path: str) -> dict:
+    """The ``run_config`` of a report (or a bare run_config), shape-checked."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    run_config = doc.get("run_config", doc)
+    if not isinstance(run_config, dict):
+        raise UsageError(f"{path}: run_config must be a JSON object")
+    missing = [key for key in ("estimator", "estimator_config", "dataset") if key not in run_config]
+    if missing:
+        raise UsageError(f"{path}: run_config lacks {', '.join(missing)}")
+    for key in ("estimator_config", "dataset", "ksg"):
+        if not isinstance(run_config.get(key, {}), dict):
+            raise UsageError(f"{path}: run_config.{key} must be a JSON object")
+    known = {f.name for f in dataclasses.fields(EstimatorConfig)}
+    unknown = sorted(set(run_config["estimator_config"]) - known)
+    if unknown:
+        raise UsageError(f"{path}: unknown estimator_config keys {', '.join(unknown)}")
+    return run_config
+
+
 def cmd_estimate(args) -> int:
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        run_config = doc.get("run_config", doc)
+        run_config = _replay_config(args.config)
     else:
         seed = args.seed if args.seed is not None else _default_seed()
         run_config = {
@@ -281,9 +301,17 @@ def cmd_estimate(args) -> int:
     estimator = run_config["estimator"]
     if estimator not in ESTIMATOR_IDS:
         raise UsageError(f"unknown estimator {estimator!r}")
-    cfg = EstimatorConfig.from_dict(run_config["estimator_config"])
-    ksg_cfg = KSGConfig(k=run_config.get("ksg", {}).get("k", 5))
-    samples = _load_dataset(run_config["dataset"])
+    try:
+        cfg = EstimatorConfig.from_dict(run_config["estimator_config"])
+        ksg_cfg = KSGConfig(k=run_config.get("ksg", {}).get("k", 5))
+    except TypeError as exc:
+        # a replayed config value of the wrong JSON type, e.g. "k": "5"
+        raise UsageError(f"ill-typed config value: {exc}") from None
+    try:
+        samples = _load_dataset(run_config["dataset"])
+    except KeyError as exc:
+        # only a hand-edited replay config can lack a dataset field
+        raise UsageError(f"dataset spec lacks {exc}") from None
 
     start = time.monotonic()
     report = estimate(samples, estimator, cfg, jobs=args.jobs, ksg_config=ksg_cfg)
@@ -436,7 +464,7 @@ def _add_estimator_flags(p: argparse.ArgumentParser):
                    help="start from the conditional-independence-testing hyperparameters")
     p.add_argument("--no-standardize", action="store_true", help="skip per-column z-scoring")
     p.add_argument("--k", type=int, default=5, help="kNN order for the ksg estimator")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes for runs")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes for network runs")
     p.add_argument("--trace", default=None, metavar="CSV", help="write per-step losses here")
     p.add_argument("--out", "-o", default=None, metavar="JSON", help="write the report here")
 

@@ -614,7 +614,7 @@ def f_mine_mi_estimate(samples: SampleSet, config: EstimatorConfig | None = None
     return _run_many("fmine", "fmine", samples, cfg, jobs)
 
 
-_DIFF_BASES = ("fmine", "migan", "ksg")
+_DIFF_BASES = ("fmine", "migan")
 
 
 def mi_diff_cmi_estimate(
@@ -622,13 +622,13 @@ def mi_diff_cmi_estimate(
     base: str = "fmine",
     config: EstimatorConfig | None = None,
     jobs: int = 1,
-    ksg_config: KSGConfig | None = None,
 ) -> EstimateReport:
-    """CMI as ``I(X;(Y,Z)) - I(X;Z)`` over an unconditional base estimator.
+    """CMI as ``I(X;(Y,Z)) - I(X;Z)`` over an unconditional network estimator.
 
-    Network bases are run-paired: run r of both terms uses seed
-    ``seed + r``, so per-run differences share their initialization and
-    batching noise. A run failing on either side drops the pair.
+    Run r of both terms uses seed ``seed + r``, so per-run differences
+    share their initialization and batching noise. A run failing on
+    either side drops the pair. The KSG form of this difference is
+    ``estimate(samples, "ksg")`` with dz >= 1.
     """
     cfg = config or EstimatorConfig()
     if samples.dz < 1:
@@ -637,21 +637,6 @@ def mi_diff_cmi_estimate(
         raise ValueError(f"base must be one of {_DIFF_BASES}, got {base!r}")
     dx, dy, dz = samples.dims
     s = samples.standardized() if cfg.standardize else samples
-    name = f"midiff-{base}"
-
-    if base == "ksg":
-        res = ksg_cmi_result(s.x, s.y, s.z, ksg_config)
-        return EstimateReport(
-            estimator=name,
-            per_run=[res.value],
-            mean=res.value,
-            std=0.0,
-            diagnostics={
-                "jitter_applied": res.jitter_applied,
-                "saturated": res.saturated,
-                "k": res.k,
-            },
-        )
 
     full = SampleSet(s.data, (dx, dy + dz, 0))
     marginal = SampleSet(np.hstack([s.x, s.z]), (dx, dz, 0))
@@ -668,7 +653,7 @@ def mi_diff_cmi_estimate(
     mean = float(np.mean(per_run)) if per_run else float("nan")
     std = float(np.std(per_run, ddof=1)) if len(per_run) > 1 else (0.0 if per_run else float("nan"))
     return EstimateReport(
-        estimator=name,
+        estimator=f"midiff-{base}",
         per_run=per_run,
         mean=mean,
         std=std,

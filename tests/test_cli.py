@@ -18,6 +18,10 @@ TINY_NET = [
 ]
 
 
+# a dataset spec with every field the linear1 model needs
+_TINY_MODEL = {"kind": "model", "model": "linear1", "n": 100, "seed": 0, "dz": 1}
+
+
 def _read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -124,6 +128,31 @@ class TestEstimate:
         assert a["report"]["per_run"] == b["report"]["per_run"]
         assert a["report"]["mean"] == b["report"]["mean"]
         assert a["run_config"] == b["run_config"]
+
+    @pytest.mark.parametrize("doc", [
+        {"run_config": {"estimator_config": {}}},
+        {"run_config": {
+            "estimator": "ksg",
+            "estimator_config": {"bogus": 1},
+            "dataset": _TINY_MODEL,
+        }},
+        [1, 2, 3],
+        {"estimator": "ksg", "estimator_config": {}, "dataset": {"kind": "model", "model": "linear1"}},
+        {"estimator": "ksg", "estimator_config": {"batch_size": "x"}, "dataset": _TINY_MODEL},
+        {"estimator": "ksg", "estimator_config": {}, "dataset": _TINY_MODEL, "ksg": {"k": "5"}},
+        {"estimator": "ksg", "estimator_config": {}, "dataset": _TINY_MODEL, "ksg": [5]},
+    ], ids=[
+        "missing-keys", "unknown-config-key", "non-object", "incomplete-dataset",
+        "ill-typed-config-value", "ill-typed-k", "non-object-ksg",
+    ])
+    def test_malformed_replay_config_is_usage_error(self, tmp_path, capsys, doc):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["-q", "estimate", "--config", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
     def test_column_mapping_input(self, tmp_path, capsys):
         data = str(tmp_path / "d.csv")

@@ -236,11 +236,10 @@ class TestVariants:
         marg = rep.diagnostics["marginal"]["runs"]
         assert [d["seed"] for d in full] == [d["seed"] for d in marg]
 
-    def test_mi_diff_ksg_base(self):
-        s = _toy_cmi_samples(n=512)
-        rep = mi_diff_cmi_estimate(s, base="ksg")
-        assert rep.estimator == "midiff-ksg"
-        assert len(rep.per_run) == 1
+    def test_mi_diff_rejects_ksg_base(self):
+        # the KSG difference form is estimate(samples, "ksg") with dz >= 1
+        with pytest.raises(ValueError):
+            mi_diff_cmi_estimate(_toy_cmi_samples(n=512), base="ksg")
 
     def test_difference_identity_against_manual_composition(self):
         s = _toy_cmi_samples()

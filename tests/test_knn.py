@@ -47,6 +47,40 @@ def test_counts_match_bruteforce_bitwise():
         assert np.array_equal(nx1, nx2)
         assert np.array_equal(ny1, ny2)
     assert ksg_mi(x, y, KSGConfig(k=5)) == ksg_mi_bruteforce(x, y, 5)
+    # a case deep enough that the wide-leaf marginal trees split several
+    # levels, in both a low- and a high-dimensional block
+    x = rng.standard_normal((600, 3))
+    y = np.hstack([x, rng.standard_normal((600, 4))]) + 0.5 * rng.standard_normal((600, 7))
+    for k in (1, 5):
+        e1, nx1, ny1 = _neighbor_stats_kdtree(x, y, k)
+        e2, nx2, ny2 = _neighbor_stats_bruteforce(x, y, k)
+        assert np.array_equal(e1, e2)
+        assert np.array_equal(nx1, nx2)
+        assert np.array_equal(ny1, ny2)
+
+
+def test_thread_count_does_not_change_results(monkeypatch):
+    import cmigan.knn
+    from cmigan.datagen import gen_linear3
+
+    s, _ = gen_linear3(2000, 3, seed=1)
+    default = ksg_cmi_result(s.x, s.y, s.z)
+    calls = []
+
+    class SerialTree(cmigan.knn.cKDTree):
+        def query(self, *args, **kwargs):
+            calls.append("query")
+            return super().query(*args, **{**kwargs, "workers": 1})
+
+        def query_ball_point(self, *args, **kwargs):
+            calls.append("query_ball_point")
+            return super().query_ball_point(*args, **{**kwargs, "workers": 1})
+
+    monkeypatch.setattr(cmigan.knn, "cKDTree", SerialTree)
+    serial = ksg_cmi_result(s.x, s.y, s.z)
+    assert calls.count("query") == 2 and calls.count("query_ball_point") == 4
+    assert serial.value.hex() == default.value.hex()
+    assert (serial.jitter_applied, serial.saturated) == (default.jitter_applied, default.saturated)
 
 
 def test_golden_estimates_bitwise():
