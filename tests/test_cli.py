@@ -112,6 +112,34 @@ class TestEstimate:
         assert rows[0] == ["run", "step", "reg_loss", "gen_loss"]
         assert len(rows) == 1 + 2 * 10  # runs * steps
 
+    def test_golden_per_run_and_trace_bytes(self, tmp_path, capsys):
+        report_path = str(tmp_path / "rep.json")
+        trace_path = str(tmp_path / "trace.csv")
+        code = main([
+            "-q", "estimate", "--estimator", "cmigan",
+            "--model", "linear1", "--n", "256", "--dz", "1", "--data-seed", "0",
+            "--runs", "1", "--seed", "5", *TINY_NET,
+            "--trace", trace_path, "--out", report_path,
+        ])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        per_run = _read_json(report_path)["report"]["per_run"]
+        assert [v.hex() for v in per_run] == ["-0x1.4fd3f3ef1bc8ap-1"]
+        with open(trace_path, "rb") as fh:
+            assert fh.read() == (
+                b"run,step,reg_loss,gen_loss\r\n"
+                b"0,0,0.8286766660458178,0.36085846590246801\r\n"
+                b"0,1,0.79710867669726815,0.27101631657463893\r\n"
+                b"0,2,0.76634117737384089,0.24801132302542117\r\n"
+                b"0,3,0.81867598661471319,0.23226821066447673\r\n"
+                b"0,4,0.64501744327924893,0.25264648195971356\r\n"
+                b"0,5,0.70393422062327116,0.21713514083003532\r\n"
+                b"0,6,0.70994077831400637,0.1953606479737692\r\n"
+                b"0,7,0.7941039647965894,0.20938118797245114\r\n"
+                b"0,8,0.61289345435054843,0.30117432925564747\r\n"
+                b"0,9,0.65605673980189372,0.23014905929887247\r\n"
+            )
+
     def test_config_replay_is_bitwise(self, tmp_path, capsys):
         first = str(tmp_path / "first.json")
         code = main([

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -330,3 +332,58 @@ class TestStatisticalSanity:
         rep_b = cmi_gan_estimate(sp, cfg)
         spread = max(rep_a.std, rep_b.std)
         assert abs(rep_a.mean - rep_b.mean) < 2.0 * spread
+
+
+# Golden reports of every network estimator, compared as float.hex so a
+# refactor of the training loop cannot move a single bit (not even the
+# sign of a zero). Each case is (estimator id, config overrides on TINY
+# with a trace, jobs); the lr cases diverge on purpose and pin the
+# failure records as well as any run that survives.
+_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_network_estimators.json")
+_NETWORK_IDS = ("cmigan", "migan", "midiffgan", "fmine", "midiff-fmine")
+_GOLDEN_CASES = {
+    **{est: (est, {}, 1) for est in _NETWORK_IDS},
+    "cmigan-ratio3-noise3": ("cmigan", {"reg_training_ratio": 3, "noise_dim": 3}, 1),
+    "fmine-ratio3-noise3": ("fmine", {"reg_training_ratio": 3, "noise_dim": 3}, 1),
+    "midiffgan-unstandardized": ("midiffgan", {"standardize": False}, 1),
+    "midiffgan-jobs2": ("midiffgan", {}, 2),
+    **{
+        f"{est}-lr{lr:g}": (est, {"initial_lr": lr, "runs": 3}, 1)
+        for est in _NETWORK_IDS
+        for lr in (1e6, 1e100, 1e200)
+    },
+}
+
+
+def _pin(value):
+    """The report with every float replaced by its float.hex string."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _pin(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_pin(v) for v in value]
+    return value
+
+
+def _golden_report(case: str) -> dict:
+    est, overrides, jobs = _GOLDEN_CASES[case]
+    samples = _toy_mi_samples() if est in ("migan", "fmine") else _toy_cmi_samples()
+    cfg = dataclasses.replace(TINY, record_trace=True, **overrides)
+    with np.errstate(all="ignore"):
+        return _pin(estimate(samples, est, cfg, jobs=jobs).to_dict())
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(_GOLDEN_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_golden_cases_are_all_pinned(golden):
+    assert sorted(golden) == sorted(_GOLDEN_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
+def test_golden_reports_bitwise(golden, case):
+    assert _golden_report(case) == golden[case]
