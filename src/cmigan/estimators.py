@@ -439,7 +439,7 @@ def _mi_diff_gan_run(
         "seed": seed,
         "final_reg_loss": l1 + l2,
         "final_gen_loss": l_gen,
-        "last_batch_estimate": -l1 - l2,
+        "last_batch_estimate": -l1 + l2,
         "eval_values": [float(v) for v in eval_values],
     }
     if trace is not None:

@@ -223,6 +223,13 @@ class TestVariants:
         assert rep.estimator == "midiffgan"
         assert np.isfinite(rep.mean)
 
+    def test_mi_diff_gan_last_batch_estimate_tracks_eval(self):
+        # the last-batch value is the same difference DV1 - DV2 as the
+        # estimate, only on one batch, so it stays near the eval values
+        rep = mi_diff_gan_estimate(_toy_cmi_samples(), TINY)
+        for run in rep.diagnostics["runs"]:
+            assert abs(run["last_batch_estimate"] - np.mean(run["eval_values"])) < 0.2
+
     def test_fmine_runs(self):
         rep = f_mine_mi_estimate(_toy_mi_samples(), TINY)
         assert rep.estimator == "fmine"
