@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .citest import DEFAULT_THRESHOLD, run_cit_benchmark
-from .datagen import MODEL_IDS, gen_cit, gen_gauss, gen_linear1, gen_linear2, gen_linear3, gen_nonlinear, true_cmi
+from .datagen import MODEL_IDS, gen_cit, generate, true_cmi
 from .dataio import (
     ColumnMapping,
     DataError,
@@ -73,28 +73,6 @@ def _cols(text: str | None) -> list:
     if text is None:
         return []
     return [part.strip() for part in text.split(",") if part.strip() != ""]
-
-
-def _generate(model: str, n: int, seed: int, dz=None, d=None, rho=None, dependent=None):
-    """Dispatch a generator from CLI-ish arguments; returns (samples, params, label|None)."""
-    if model == "linear1":
-        s, p = gen_linear1(n, dz if dz is not None else 1, seed)
-    elif model == "linear2":
-        s, p = gen_linear2(n, dz if dz is not None else 1, seed)
-    elif model == "linear3":
-        s, p = gen_linear3(n, d if d is not None else 1, seed)
-    elif model == "nonlinear":
-        s, p = gen_nonlinear(n, dz if dz is not None else 1, seed)
-    elif model == "cit":
-        s, p, label = gen_cit(n, dz if dz is not None else 1, bool(dependent), seed)
-        return s, p, label
-    elif model == "gauss":
-        if rho is None:
-            raise UsageError("--rho is required for the gauss model")
-        s, p = gen_gauss(n, d if d is not None else 1, rho, seed)
-    else:
-        raise UsageError(f"unknown model {model!r}")
-    return s, p, None
 
 
 def _estimator_config(args, seed: int) -> EstimatorConfig:
@@ -175,7 +153,7 @@ def _dataset_spec_from_args(args) -> dict:
 
 def _load_dataset(spec: dict):
     if spec["kind"] == "model":
-        samples, _, _ = _generate(
+        samples, _, _ = generate(
             spec["model"],
             spec["n"],
             spec["seed"],
@@ -244,7 +222,7 @@ def _write_trace(path: str, report_dict: dict):
 
 def cmd_datagen(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    samples, params, label = _generate(
+    samples, params, label = generate(
         args.model, args.n, seed, dz=args.dz, d=args.d, rho=args.rho, dependent=args.dependent
     )
     save_csv(samples, args.out)
@@ -336,26 +314,13 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def cmd_citest(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    entries = read_manifest(args.manifest)
-    base = os.path.dirname(os.path.abspath(args.manifest))
-    datasets, ids = [], []
-    for entry in entries:
-        path = entry.csv if os.path.isabs(entry.csv) else os.path.join(base, entry.csv)
-        dx, dy, dz = entry.dims
-        mapping = ColumnMapping(
-            x_cols=list(range(dx)),
-            y_cols=list(range(dx, dx + dy)),
-            z_cols=list(range(dx + dy, dx + dy + dz)),
-        )
-        datasets.append((load_csv(path, mapping).samples, entry.label))
-        ids.append(entry.csv)
+def _score_suite(args, command: str, seed: int, manifest: str, datasets: list, ids: list) -> int:
+    """Score labeled datasets with ``args.estimator`` and write the report."""
     cfg = _estimator_config(args, seed)
     run_config = {
-        "command": "citest",
+        "command": command,
         "estimator": args.estimator,
-        "manifest": os.path.abspath(args.manifest),
+        "manifest": os.path.abspath(manifest),
         "estimator_config": cfg.to_dict(),
         "ksg": {"k": args.k},
         "threshold": args.threshold,
@@ -371,7 +336,7 @@ def cmd_citest(args) -> int:
         jobs=args.jobs,
     )
     wall = time.monotonic() - start
-    log.info("citest done in %.1fs: auroc=%s", wall, report.auroc)
+    log.info("%s done in %.1fs: auroc=%s", command, wall, report.auroc)
     _write_json(args.out, {
         "run_config": run_config,
         "report": report.to_dict(),
@@ -379,6 +344,24 @@ def cmd_citest(args) -> int:
         "version": __version__,
     })
     return EXIT_OK
+
+
+def cmd_citest(args) -> int:
+    seed = args.seed if args.seed is not None else _default_seed()
+    entries = read_manifest(args.manifest)
+    base = os.path.dirname(os.path.abspath(args.manifest))
+    datasets, ids = [], []
+    for entry in entries:
+        path = entry.csv if os.path.isabs(entry.csv) else os.path.join(base, entry.csv)
+        dx, dy, dz = entry.dims
+        mapping = ColumnMapping(
+            x_cols=list(range(dx)),
+            y_cols=list(range(dx, dx + dy)),
+            z_cols=list(range(dx + dy, dx + dy + dz)),
+        )
+        datasets.append((load_csv(path, mapping).samples, entry.label))
+        ids.append(entry.csv)
+    return _score_suite(args, "citest", seed, args.manifest, datasets, ids)
 
 
 def cmd_gradcheck(args) -> int:
@@ -415,34 +398,8 @@ def cmd_bench(args) -> int:
         _write_json(None, {"manifest": manifest_path, "datasets": len(entries)})
         return EXIT_OK
 
-    cfg = _estimator_config(args, seed)
-    run_config = {
-        "command": "bench",
-        "estimator": args.estimator,
-        "manifest": os.path.abspath(manifest_path),
-        "estimator_config": cfg.to_dict(),
-        "ksg": {"k": args.k},
-        "threshold": args.threshold,
-    }
-    start = time.monotonic()
-    report = run_cit_benchmark(
-        datasets,
-        args.estimator,
-        cfg,
-        threshold=args.threshold,
-        ksg_config=KSGConfig(k=args.k),
-        ids=[e.csv for e in entries],
-        jobs=args.jobs,
-    )
-    wall = time.monotonic() - start
-    log.info("bench done in %.1fs: auroc=%s", wall, report.auroc)
-    _write_json(args.out, {
-        "run_config": run_config,
-        "report": report.to_dict(),
-        "wall_time_s": wall,
-        "version": __version__,
-    })
-    return EXIT_OK
+    ids = [e.csv for e in entries]
+    return _score_suite(args, "bench", seed, manifest_path, datasets, ids)
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser):

@@ -207,22 +207,44 @@ def gen_gauss(n: int, d: int, rho: float, seed: int) -> tuple[SampleSet, ModelPa
     return SampleSet(np.hstack([x, y]), (d, d, 0)), params
 
 
+def generate(model: str, n: int, seed: int, dz=None, d=None, rho=None, dependent=False):
+    """Draw a dataset of ``model``; returns (samples, params, label).
+
+    The label ('CI' or 'CD') comes with ``cit`` only and is None for the
+    other models. ``dz`` and ``d`` default to 1; ``gauss`` needs ``rho``.
+    """
+    dz = 1 if dz is None else dz
+    d = 1 if d is None else d
+    if model == "cit":
+        return gen_cit(n, dz, bool(dependent), seed)
+    if model == "linear1":
+        samples, params = gen_linear1(n, dz, seed)
+    elif model == "linear2":
+        samples, params = gen_linear2(n, dz, seed)
+    elif model == "linear3":
+        samples, params = gen_linear3(n, d, seed)
+    elif model == "nonlinear":
+        samples, params = gen_nonlinear(n, dz, seed)
+    elif model == "gauss":
+        if rho is None:
+            raise ValueError("the gauss model needs rho")
+        samples, params = gen_gauss(n, d, float(rho), seed)
+    else:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODEL_IDS}")
+    return samples, params, None
+
+
 def regenerate(params: ModelParams) -> SampleSet:
     """Rebuild the exact dataset described by a ModelParams record."""
-    m = params.model
-    if m == "linear1":
-        return gen_linear1(params.n, params.dz, params.seed)[0]
-    if m == "linear2":
-        return gen_linear2(params.n, params.dz, params.seed)[0]
-    if m == "linear3":
-        return gen_linear3(params.n, params.dx, params.seed)[0]
-    if m == "nonlinear":
-        return gen_nonlinear(params.n, params.dz, params.seed)[0]
-    if m == "cit":
-        return gen_cit(params.n, params.dz, bool(params.extras["dependent"]), params.seed)[0]
-    if m == "gauss":
-        return gen_gauss(params.n, params.dx, float(params.extras["rho"]), params.seed)[0]
-    raise ValueError(f"unknown model {m!r}")
+    return generate(
+        params.model,
+        params.n,
+        params.seed,
+        dz=params.dz,
+        d=params.dx,
+        rho=params.extras.get("rho"),
+        dependent=params.extras.get("dependent", False),
+    )[0]
 
 
 def true_cmi(params: ModelParams) -> float | None:

@@ -1,17 +1,28 @@
-"""MI/CMI estimators built on adversarial min-max training.
+"""MI/CMI estimators built on one adversarial min-max training loop.
 
-The conditional estimator trains a generator ``G: (noise, z) -> y`` and a
-regression network ``R: (x, y, z) -> score`` against each other: R
-maximizes the Donsker-Varadhan objective separating true joint samples
-from tuples with generated y, and G minimizes it by making its
-conditional samples indistinguishable. At the saddle point the DV value
-is the conditional mutual information.
+Every network estimator plays the same game. A critic (regression
+network) maximizes a variational lower bound that separates joint
+samples ``(x, y, z)`` from product samples in which one block is
+replaced; a generator makes the replacement and minimizes the same
+bound, so at the saddle point the bound is the (conditional) mutual
+information. One loop, ``_train_run``, plays it for every network id;
+an id fixes three entries of the ``_GAMES`` table:
 
-Variants: an unconditional version (no z), a difference-of-objectives
-version with a single generator for X and two regression networks, a
-permutation-based f-divergence critic (no generator), and difference
-compositions ``I(X;Y|Z) = I(X;(Y,Z)) - I(X;Z)`` over any unconditional
-base estimator.
+- the swapped block: ``y`` (cmigan, migan, fmine) or ``x`` (midiffgan);
+- the blocks each critic reads: ``(x, y, z)``, plus ``(x, z)`` entering
+  with sign -1 for midiffgan, whose estimate is the difference of the
+  two Donsker-Varadhan values;
+- what the generator is conditioned on: ``z`` (cmigan; migan is the same
+  game with an empty ``z``), nothing (midiffgan), or no generator at all
+  (fmine), in which case a within-batch permutation of the swapped block
+  makes the product and the critic maximizes the f-divergence bound.
+
+Each training step makes ``reg_training_ratio`` critic updates (one
+without a generator), then one generator update that reuses the last
+critic batch's unswapped blocks (x and z for cmigan) with fresh noise.
+``midiff-fmine`` composes two fmine estimates as
+``I(X;(Y,Z)) - I(X;Z)``, and ``ksg`` is the kNN baseline;
+:func:`estimate` dispatches by id.
 """
 
 from __future__ import annotations
@@ -47,9 +58,6 @@ from .neuralnet import (
 )
 
 log = logging.getLogger(__name__)
-
-ESTIMATOR_IDS = ("cmigan", "migan", "midiffgan", "fmine", "midiff-fmine", "ksg")
-
 
 @dataclass
 class SampleSet:
@@ -246,7 +254,7 @@ def _finite_scores(arr: np.ndarray, what: str, step: int) -> np.ndarray:
 
 
 class _Net:
-    """A parameter/optimizer bundle; keeps the training loops terse."""
+    """A parameter/optimizer bundle; keeps the training loop terse."""
 
     def __init__(self, spec: MLPSpec, seed: int, cfg: EstimatorConfig):
         self.params = mlp_init(spec, seed)
@@ -256,290 +264,186 @@ class _Net:
         self.params, self.state = rmsprop_step(self.params, grads, self.state, lr)
 
 
-def _adversarial_cmi_run(
-    data: np.ndarray, dims: tuple[int, int, int], cfg: EstimatorConfig, seed: int
-) -> tuple[float, dict]:
-    """One training run of the conditional (or, with dz=0, unconditional)
-    adversarial estimator. Returns (estimate, diagnostics)."""
-    rng = np.random.default_rng(seed)
-    n = data.shape[0]
-    dx, dy, dz = dims
-    x, y, z = data[:, :dx], data[:, dx : dx + dy], data[:, dx + dy :]
-    d_noise = cfg.noise_dim if cfg.noise_dim is not None else dy
-    b = cfg.batch_size
-
-    reg = _Net(MLPSpec(dx + dy + dz, cfg.reg_hidden, 1), int(rng.integers(2**63)), cfg)
-    gen = _Net(MLPSpec(d_noise + dz, cfg.gen_hidden, dy), int(rng.integers(2**63)), cfg)
-    sched = cfg.schedule()
-    trace = [] if cfg.record_trace else None
-    l_reg = l_gen = float("nan")
-
-    for step in range(cfg.training_steps):
-        lr = lr_at(step, sched)
-        for _ in range(cfg.reg_training_ratio):
-            idx = rng.permutation(n)[:b]
-            xb, yb, zb = x[idx], y[idx], z[idx]
-            noise = rng.standard_normal((b, d_noise))
-            y_gen = mlp_forward(gen.params, np.hstack([noise, zb]))
-            s_joint, cache_j = mlp_forward_cached(reg.params, np.hstack([xb, yb, zb]))
-            s_prod, cache_p = mlp_forward_cached(reg.params, np.hstack([xb, y_gen, zb]))
-            _finite_scores(s_joint, "joint scores", step)
-            _finite_scores(s_prod, "product scores", step)
-            l_reg = -float(s_joint.mean()) + log_mean_exp(s_prod)
-            _finite_or_raise(l_reg, "regression loss", step)
-            g_joint = np.full((b, 1), -1.0 / b)
-            g_prod = softmax_weights(s_prod.ravel())[:, None]
-            grads = add_grads(
-                mlp_backward_cached(reg.params, cache_j, g_joint),
-                mlp_backward_cached(reg.params, cache_p, g_prod),
-            )
-            reg.step(grads, lr)
-
-        noise = rng.standard_normal((b, d_noise))
-        y_gen, cache_g = mlp_forward_cached(gen.params, np.hstack([noise, zb]))
-        s_prod, cache_r = mlp_forward_cached(reg.params, np.hstack([xb, y_gen, zb]))
-        _finite_scores(s_prod, "product scores", step)
-        l_gen = -log_mean_exp(s_prod)
-        _finite_or_raise(l_gen, "generator loss", step)
-        d_scores = -softmax_weights(s_prod.ravel())[:, None]
-        d_input = mlp_backward_cached(reg.params, cache_r, d_scores).inputs
-        gen_grads = mlp_backward_cached(gen.params, cache_g, d_input[:, dx : dx + dy])
-        gen.step(gen_grads, lr)
-        if trace is not None:
-            trace.append((step, l_reg, l_gen))
-
-    s_joint_full = _finite_scores(
-        mlp_forward(reg.params, data).ravel(), "joint scores", cfg.training_steps
-    )
-    eval_values = []
-    for _ in range(cfg.eval_passes):
-        noise = rng.standard_normal((n, d_noise))
-        y_gen = mlp_forward(gen.params, np.hstack([noise, z]))
-        s_prod_full = _finite_scores(
-            mlp_forward(reg.params, np.hstack([x, y_gen, z])).ravel(),
-            "product scores",
-            cfg.training_steps,
-        )
-        eval_values.append(dv_objective(ScorePair(s_joint_full, s_prod_full)))
-    estimate = float(np.mean(eval_values))
-    _finite_or_raise(estimate, "final estimate", cfg.training_steps)
-
-    diag = {
-        "seed": seed,
-        "final_reg_loss": l_reg,
-        "final_gen_loss": l_gen,
-        "last_batch_estimate": -l_reg,
-        "eval_values": [float(v) for v in eval_values],
-    }
-    if trace is not None:
-        diag["trace"] = [(int(s), float(a), float(g)) for s, a, g in trace]
-    return estimate, diag
+# estimator id -> (swapped block, critics as (blocks read, sign), blocks
+# the generator is conditioned on). A conditioning of None means no
+# generator: the product permutes the swapped block within the batch and
+# the critic maximizes the f-divergence bound instead of the DV bound.
+_GAMES = {
+    "cmigan": ("y", (("xyz", 1),), "z"),
+    "migan": ("y", (("xyz", 1),), "z"),
+    "midiffgan": ("x", (("xyz", 1), ("xz", -1)), ""),
+    "fmine": ("y", (("xyz", 1),), None),
+}
 
 
-def _mi_diff_gan_run(
-    data: np.ndarray, dims: tuple[int, int, int], cfg: EstimatorConfig, seed: int
-) -> tuple[float, dict]:
-    """Difference variant: one generator for X, two regression networks.
-
-    R1 separates (x,y,z) from (x_gen,y,z); R2 separates (x,z) from
-    (x_gen,z). The generator minimizes objective1 - objective2 and the
-    estimate is that difference on the full dataset.
-    """
-    rng = np.random.default_rng(seed)
-    n = data.shape[0]
-    dx, dy, dz = dims
-    x, y, z = data[:, :dx], data[:, dx : dx + dy], data[:, dx + dy :]
-    d_noise = cfg.noise_dim if cfg.noise_dim is not None else dx
-    b = cfg.batch_size
-
-    reg1 = _Net(MLPSpec(dx + dy + dz, cfg.reg_hidden, 1), int(rng.integers(2**63)), cfg)
-    reg2 = _Net(MLPSpec(dx + dz, cfg.reg_hidden, 1), int(rng.integers(2**63)), cfg)
-    gen = _Net(MLPSpec(d_noise, cfg.gen_hidden, dx), int(rng.integers(2**63)), cfg)
-    sched = cfg.schedule()
-    trace = [] if cfg.record_trace else None
-    l1 = l2 = l_gen = float("nan")
-
-    def _reg_update(net: _Net, joint_in, prod_in, lr, step, label):
-        s_joint, cache_j = mlp_forward_cached(net.params, joint_in)
-        s_prod, cache_p = mlp_forward_cached(net.params, prod_in)
-        _finite_scores(s_joint, "joint scores", step)
-        _finite_scores(s_prod, "product scores", step)
-        loss = -float(s_joint.mean()) + log_mean_exp(s_prod)
-        _finite_or_raise(loss, label, step)
-        g_joint = np.full((joint_in.shape[0], 1), -1.0 / joint_in.shape[0])
-        g_prod = softmax_weights(s_prod.ravel())[:, None]
-        grads = add_grads(
-            mlp_backward_cached(net.params, cache_j, g_joint),
-            mlp_backward_cached(net.params, cache_p, g_prod),
-        )
-        net.step(grads, lr)
-        return loss
-
-    for step in range(cfg.training_steps):
-        lr = lr_at(step, sched)
-        for _ in range(cfg.reg_training_ratio):
-            idx = rng.permutation(n)[:b]
-            xb, yb, zb = x[idx], y[idx], z[idx]
-            noise = rng.standard_normal((b, d_noise))
-            x_gen = mlp_forward(gen.params, noise)
-            l1 = _reg_update(
-                reg1,
-                np.hstack([xb, yb, zb]),
-                np.hstack([x_gen, yb, zb]),
-                lr,
-                step,
-                "first regression loss",
-            )
-            l2 = _reg_update(
-                reg2, np.hstack([xb, zb]), np.hstack([x_gen, zb]), lr, step, "second regression loss"
-            )
-
-        noise = rng.standard_normal((b, d_noise))
-        x_gen, cache_g = mlp_forward_cached(gen.params, noise)
-        s1, cache_r1 = mlp_forward_cached(reg1.params, np.hstack([x_gen, yb, zb]))
-        s2, cache_r2 = mlp_forward_cached(reg2.params, np.hstack([x_gen, zb]))
-        _finite_scores(s1, "first product scores", step)
-        _finite_scores(s2, "second product scores", step)
-        # generator minimizes (obj1 - obj2); only the log-mean-exp terms
-        # depend on x_gen, with opposite signs
-        l_gen = -log_mean_exp(s1) + log_mean_exp(s2)
-        _finite_or_raise(l_gen, "generator loss", step)
-        d1 = -softmax_weights(s1.ravel())[:, None]
-        d2 = softmax_weights(s2.ravel())[:, None]
-        d_xgen = (
-            mlp_backward_cached(reg1.params, cache_r1, d1).inputs[:, :dx]
-            + mlp_backward_cached(reg2.params, cache_r2, d2).inputs[:, :dx]
-        )
-        gen.step(mlp_backward_cached(gen.params, cache_g, d_xgen), lr)
-        if trace is not None:
-            trace.append((step, l1 + l2, l_gen))
-
-    last = cfg.training_steps
-    s1_joint = _finite_scores(mlp_forward(reg1.params, data).ravel(), "joint scores", last)
-    s2_joint = _finite_scores(
-        mlp_forward(reg2.params, np.hstack([x, z])).ravel(), "joint scores", last
-    )
-    eval_values = []
-    for _ in range(cfg.eval_passes):
-        noise = rng.standard_normal((n, d_noise))
-        x_gen = mlp_forward(gen.params, noise)
-        s1_prod = _finite_scores(
-            mlp_forward(reg1.params, np.hstack([x_gen, y, z])).ravel(), "product scores", last
-        )
-        s2_prod = _finite_scores(
-            mlp_forward(reg2.params, np.hstack([x_gen, z])).ravel(), "product scores", last
-        )
-        eval_values.append(
-            dv_objective(ScorePair(s1_joint, s1_prod)) - dv_objective(ScorePair(s2_joint, s2_prod))
-        )
-    estimate = float(np.mean(eval_values))
-    _finite_or_raise(estimate, "final estimate", cfg.training_steps)
-
-    diag = {
-        "seed": seed,
-        "final_reg_loss": l1 + l2,
-        "final_gen_loss": l_gen,
-        "last_batch_estimate": -l1 + l2,
-        "eval_values": [float(v) for v in eval_values],
-    }
-    if trace is not None:
-        diag["trace"] = [(int(s), float(a), float(g)) for s, a, g in trace]
-    return estimate, diag
+def _total(terms: list):
+    """``terms[0] + terms[1] + ...``; a sum starting from 0.0 would turn a
+    lone -0.0 into 0.0."""
+    return sum(terms[1:], terms[0])
 
 
-def _f_mine_run(
-    data: np.ndarray, dims: tuple[int, int, int], cfg: EstimatorConfig, seed: int
-) -> tuple[float, dict]:
-    """Permutation-critic MI run: a single network maximizes the
-    f-divergence objective, product samples made by shuffling the y block
-    within each batch. One update per training step (no generator)."""
-    rng = np.random.default_rng(seed)
-    n = data.shape[0]
-    dx, dy, dz = dims
-    if dz != 0:
-        raise ValueError("the permutation critic estimates unconditional MI (dz must be 0)")
-    x, y = data[:, :dx], data[:, dx : dx + dy]
-    b = cfg.batch_size
-
-    reg = _Net(MLPSpec(dx + dy, cfg.reg_hidden, 1), int(rng.integers(2**63)), cfg)
-    sched = cfg.schedule()
-    trace = [] if cfg.record_trace else None
+def _critic_step(net: _Net, joint_in, prod_in, fdiv: bool, label: str, lr: float, step: int):
+    """One critic update on a joint and a product batch. Returns the loss
+    (the negated objective) and the number of clamped product scores,
+    which only the f-divergence objective has."""
+    b = joint_in.shape[0]
+    s_joint, cache_j = mlp_forward_cached(net.params, joint_in)
+    s_prod, cache_p = mlp_forward_cached(net.params, prod_in)
+    _finite_scores(s_joint, "joint scores", step)
+    _finite_scores(s_prod, "product scores", step)
     clamp_hits = 0
-    loss = float("nan")
-
-    for step in range(cfg.training_steps):
-        lr = lr_at(step, sched)
-        idx = rng.permutation(n)[:b]
-        xb, yb = x[idx], y[idx]
-        y_shuf = yb[rng.permutation(b)]
-        s_joint, cache_j = mlp_forward_cached(reg.params, np.hstack([xb, yb]))
-        s_prod, cache_p = mlp_forward_cached(reg.params, np.hstack([xb, y_shuf]))
-        _finite_scores(s_joint, "joint scores", step)
-        _finite_scores(s_prod, "product scores", step)
-        pair = ScorePair(s_joint.ravel(), s_prod.ravel())
-        loss = -fdiv_objective(pair)
-        _finite_or_raise(loss, "critic loss", step)
+    if fdiv:
+        loss = -fdiv_objective(ScorePair(s_joint.ravel(), s_prod.ravel()))
+        _finite_or_raise(loss, label, step)
         exponent = s_prod.ravel() - 1.0
         clamped = exponent > FDIV_EXP_CLAMP
-        clamp_hits += int(np.count_nonzero(clamped))
-        g_joint = np.full((b, 1), -1.0 / b)
+        clamp_hits = int(np.count_nonzero(clamped))
         # gradient of -fdiv: +exp(s-1)/b on unclamped product scores,
         # zero where the clamp flattens the objective
-        g_prod = np.where(clamped, 0.0, np.exp(np.minimum(exponent, FDIV_EXP_CLAMP)) / b)[:, None]
-        grads = add_grads(
-            mlp_backward_cached(reg.params, cache_j, g_joint),
-            mlp_backward_cached(reg.params, cache_p, g_prod),
-        )
-        reg.step(grads, lr)
-        if trace is not None:
-            trace.append((step, loss, float("nan")))
-
-    s_joint_full = _finite_scores(
-        mlp_forward(reg.params, data).ravel(), "joint scores", cfg.training_steps
+        g_prod = np.where(clamped, 0.0, np.exp(np.minimum(exponent, FDIV_EXP_CLAMP)) / b)
+    else:
+        loss = -float(s_joint.mean()) + log_mean_exp(s_prod)
+        _finite_or_raise(loss, label, step)
+        g_prod = softmax_weights(s_prod.ravel())
+    grads = add_grads(
+        mlp_backward_cached(net.params, cache_j, np.full((b, 1), -1.0 / b)),
+        mlp_backward_cached(net.params, cache_p, g_prod[:, None]),
     )
+    net.step(grads, lr)
+    return loss, clamp_hits
+
+
+def _train_run(
+    kind: str, data: np.ndarray, dims: tuple[int, int, int], cfg: EstimatorConfig, seed: int
+) -> tuple[float, dict]:
+    """One training run of the network estimator ``kind`` (a key of
+    ``_GAMES``). Returns (estimate, diagnostics).
+
+    The run draws the critic initializations, then the generator's, from
+    one PCG64 stream seeded with ``seed``. Each training step makes
+    ``reg_training_ratio`` critic updates (one without a generator), each
+    on a fresh batch of ``permutation(n)[:b]`` rows whose product sample
+    swaps in generated rows (fresh noise) or the batch's own rows under
+    ``permutation(b)``; every critic trains on the same batch. The
+    generator step then reuses the last critic batch's unswapped blocks
+    (x and z for cmigan) with fresh noise, and descends the signed sum of
+    the critics' log-mean-exp terms.
+    The estimate averages ``eval_passes`` signed sums of the objectives on
+    the full data, each pass with a fresh product sample.
+    """
+    swap, critic_table, cond = _GAMES[kind]
+    rng = np.random.default_rng(seed)
+    n, b, last = data.shape[0], cfg.batch_size, cfg.training_steps
+    dx, dy, _ = dims
+    full = {"x": data[:, :dx], "y": data[:, dx : dx + dy], "z": data[:, dx + dy :]}
+    width = {key: block.shape[1] for key, block in full.items()}
+    d_noise = cfg.noise_dim if cfg.noise_dim is not None else width[swap]
+
+    def cols(blocks: str) -> int:
+        return sum(width[key] for key in blocks)
+
+    def net(d_in: int, hidden: tuple[int, ...], d_out: int) -> _Net:
+        return _Net(MLPSpec(d_in, hidden, d_out), int(rng.integers(2**63)), cfg)
+
+    critics = [net(cols(blocks), cfg.reg_hidden, 1) for blocks, _ in critic_table]
+    gen = None if cond is None else net(d_noise + cols(cond), cfg.gen_hidden, width[swap])
+    signs = [sign for _, sign in critic_table]
+    names = ("first ", "second ") if len(critics) > 1 else ("",)
+
+    def joint(batch: dict, blocks: str) -> np.ndarray:
+        return np.hstack([batch[key] for key in blocks])
+
+    def product(batch: dict, swapped: np.ndarray, blocks: str) -> np.ndarray:
+        return np.hstack([swapped if key == swap else batch[key] for key in blocks])
+
+    def gen_input(batch: dict, rows: int) -> np.ndarray:
+        return np.hstack([rng.standard_normal((rows, d_noise))] + [batch[key] for key in cond])
+
+    def draw_swapped(batch: dict, rows: int) -> np.ndarray:
+        if gen is None:
+            return batch[swap][rng.permutation(rows)]
+        return mlp_forward(gen.params, gen_input(batch, rows))
+
+    sched = cfg.schedule()
+    trace = [] if cfg.record_trace else None
+    losses = [float("nan")] * len(critics)
+    l_gen = float("nan")
+    clamp_hits = 0
+
+    for step in range(last):
+        lr = lr_at(step, sched)
+        for _ in range(cfg.reg_training_ratio if gen is not None else 1):
+            idx = rng.permutation(n)[:b]
+            batch = {key: block[idx] for key, block in full.items()}
+            swapped = draw_swapped(batch, b)
+            for i, (critic, (blocks, _)) in enumerate(zip(critics, critic_table)):
+                label = "critic loss" if gen is None else f"{names[i]}regression loss"
+                joint_in, prod_in = joint(batch, blocks), product(batch, swapped, blocks)
+                losses[i], hits = _critic_step(
+                    critic, joint_in, prod_in, gen is None, label, lr, step
+                )
+                clamp_hits += hits
+
+        if gen is not None:
+            swapped, cache_g = mlp_forward_cached(gen.params, gen_input(batch, b))
+            scored = []
+            for i, (critic, (blocks, _)) in enumerate(zip(critics, critic_table)):
+                s, cache = mlp_forward_cached(critic.params, product(batch, swapped, blocks))
+                scored.append((_finite_scores(s, f"{names[i]}product scores", step), cache))
+            l_gen = _total([-sign * log_mean_exp(s) for sign, (s, _) in zip(signs, scored)])
+            _finite_or_raise(l_gen, "generator loss", step)
+            d_swapped = []
+            for critic, (blocks, sign), (s, cache) in zip(critics, critic_table, scored):
+                d_scores = -sign * softmax_weights(s.ravel())[:, None]
+                start = cols(blocks[: blocks.index(swap)])
+                d_input = mlp_backward_cached(critic.params, cache, d_scores).inputs
+                d_swapped.append(d_input[:, start : start + width[swap]])
+            gen.step(mlp_backward_cached(gen.params, cache_g, _total(d_swapped)), lr)
+        if trace is not None:
+            trace.append((step, _total(losses), l_gen))
+
+    joint_full = [
+        _finite_scores(
+            mlp_forward(critic.params, joint(full, blocks)).ravel(), "joint scores", last
+        )
+        for critic, (blocks, _) in zip(critics, critic_table)
+    ]
+    objective = fdiv_objective if gen is None else dv_objective
     eval_values = []
     for _ in range(cfg.eval_passes):
-        perm = rng.permutation(n)
-        s_prod_full = _finite_scores(
-            mlp_forward(reg.params, np.hstack([x, y[perm]])).ravel(),
-            "product scores",
-            cfg.training_steps,
-        )
-        eval_values.append(fdiv_objective(ScorePair(s_joint_full, s_prod_full)))
+        swapped = draw_swapped(full, n)
+        values = []
+        for critic, (blocks, sign), s_joint in zip(critics, critic_table, joint_full):
+            s_prod = mlp_forward(critic.params, product(full, swapped, blocks)).ravel()
+            _finite_scores(s_prod, "product scores", last)
+            values.append(sign * objective(ScorePair(s_joint, s_prod)))
+        eval_values.append(_total(values))
     estimate = float(np.mean(eval_values))
-    _finite_or_raise(estimate, "final estimate", cfg.training_steps)
+    _finite_or_raise(estimate, "final estimate", last)
 
-    diag = {
-        "seed": seed,
-        "final_reg_loss": loss,
-        "last_batch_estimate": -loss,
-        "clamp_warnings": clamp_hits,
-        "eval_values": [float(v) for v in eval_values],
-    }
+    diag = {"seed": seed, "final_reg_loss": _total(losses)}
+    if gen is not None:
+        diag["final_gen_loss"] = l_gen
+    diag["last_batch_estimate"] = _total([-sign * loss for sign, loss in zip(signs, losses)])
+    if gen is None:
+        diag["clamp_warnings"] = clamp_hits
+    diag["eval_values"] = [float(v) for v in eval_values]
     if trace is not None:
         diag["trace"] = [(int(s), float(a), float(g)) for s, a, g in trace]
     return estimate, diag
-
-
-_RUNNERS = {
-    "cmigan": _adversarial_cmi_run,
-    "migan": _adversarial_cmi_run,
-    "midiffgan": _mi_diff_gan_run,
-    "fmine": _f_mine_run,
-}
 
 
 def _single_run(kind: str, data, dims, cfg: EstimatorConfig, run_index: int):
     """Top-level per-run entry (picklable for process pools)."""
     seed = cfg.seed + run_index
     try:
-        estimate, diag = _RUNNERS[kind](data, dims, cfg, seed)
+        estimate, diag = _train_run(kind, data, dims, cfg, seed)
         return run_index, estimate, diag, None
     except NumericalError as exc:
         return run_index, None, None, {"run": run_index, "seed": seed, "reason": str(exc)}
 
 
-def _run_many(kind: str, name: str, s: SampleSet, cfg: EstimatorConfig, jobs: int) -> EstimateReport:
+def _run_many(kind: str, s: SampleSet, cfg: EstimatorConfig, jobs: int) -> EstimateReport:
     _validate_for_training(s, cfg)
     if cfg.standardize:
         s = s.standardized()
@@ -555,7 +459,7 @@ def _run_many(kind: str, name: str, s: SampleSet, cfg: EstimatorConfig, jobs: in
     else:
         for r in range(cfg.runs):
             results.append(_single_run(kind, data, s.dims, cfg, r))
-            log.info("%s run %d/%d done", name, r + 1, cfg.runs)
+            log.info("%s run %d/%d done", kind, r + 1, cfg.runs)
     results.sort(key=lambda t: t[0])
 
     per_run, run_diags, failures = [], [], []
@@ -572,10 +476,15 @@ def _run_many(kind: str, name: str, s: SampleSet, cfg: EstimatorConfig, jobs: in
         "lr": {"first": lr_at(0, sched), "last": lr_at(cfg.training_steps - 1, sched)},
         "clamp_warnings": sum(d.get("clamp_warnings", 0) for d in run_diags),
     }
+    return _report(kind, per_run, failures, diagnostics)
+
+
+def _report(estimator: str, per_run: list[float], failures: list[dict], diagnostics: dict):
+    """An :class:`EstimateReport` with the mean and sample std of ``per_run``."""
     mean = float(np.mean(per_run)) if per_run else float("nan")
     std = float(np.std(per_run, ddof=1)) if len(per_run) > 1 else (0.0 if per_run else float("nan"))
     return EstimateReport(
-        estimator=name,
+        estimator=estimator,
         per_run=per_run,
         mean=mean,
         std=std,
@@ -589,7 +498,7 @@ def cmi_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, 
     cfg = config or EstimatorConfig()
     if samples.dz < 1:
         raise ValueError("conditional estimation needs dz >= 1; use mi_gan_estimate for plain MI")
-    return _run_many("cmigan", "cmigan", samples, cfg, jobs)
+    return _run_many("cmigan", samples, cfg, jobs)
 
 
 def mi_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
@@ -597,7 +506,7 @@ def mi_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, j
     cfg = config or EstimatorConfig()
     if samples.dz != 0:
         raise ValueError("mi_gan_estimate expects dz == 0")
-    return _run_many("migan", "migan", samples, cfg, jobs)
+    return _run_many("migan", samples, cfg, jobs)
 
 
 def mi_diff_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
@@ -605,25 +514,21 @@ def mi_diff_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = No
     cfg = config or EstimatorConfig()
     if samples.dz < 1:
         raise ValueError("the difference variant needs dz >= 1")
-    return _run_many("midiffgan", "midiffgan", samples, cfg, jobs)
+    return _run_many("midiffgan", samples, cfg, jobs)
 
 
 def f_mine_mi_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
     """Unconditional MI from the permutation critic (f-divergence bound)."""
     cfg = config or EstimatorConfig()
-    return _run_many("fmine", "fmine", samples, cfg, jobs)
-
-
-_DIFF_BASES = ("fmine", "migan")
+    if samples.dz != 0:
+        raise ValueError("the permutation critic estimates unconditional MI (dz must be 0)")
+    return _run_many("fmine", samples, cfg, jobs)
 
 
 def mi_diff_cmi_estimate(
-    samples: SampleSet,
-    base: str = "fmine",
-    config: EstimatorConfig | None = None,
-    jobs: int = 1,
+    samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1
 ) -> EstimateReport:
-    """CMI as ``I(X;(Y,Z)) - I(X;Z)`` over an unconditional network estimator.
+    """CMI as ``I(X;(Y,Z)) - I(X;Z)``, each term an ``fmine`` estimate.
 
     Run r of both terms uses seed ``seed + r``, so per-run differences
     share their initialization and batching noise. A run failing on
@@ -633,33 +538,56 @@ def mi_diff_cmi_estimate(
     cfg = config or EstimatorConfig()
     if samples.dz < 1:
         raise ValueError("the difference composition needs dz >= 1")
-    if base not in _DIFF_BASES:
-        raise ValueError(f"base must be one of {_DIFF_BASES}, got {base!r}")
     dx, dy, dz = samples.dims
     s = samples.standardized() if cfg.standardize else samples
 
     full = SampleSet(s.data, (dx, dy + dz, 0))
     marginal = SampleSet(np.hstack([s.x, s.z]), (dx, dz, 0))
     sub_cfg = dataclasses.replace(cfg, standardize=False)
-    runner = f_mine_mi_estimate if base == "fmine" else mi_gan_estimate
-    rep_full = runner(full, sub_cfg, jobs=jobs)
-    rep_marginal = runner(marginal, sub_cfg, jobs=jobs)
+    rep_full = f_mine_mi_estimate(full, sub_cfg, jobs=jobs)
+    rep_marginal = f_mine_mi_estimate(marginal, sub_cfg, jobs=jobs)
 
     failed = {f["run"] for f in rep_full.failed_runs} | {f["run"] for f in rep_marginal.failed_runs}
     full_by_run = {d["seed"] - cfg.seed: v for v, d in zip(rep_full.per_run, rep_full.diagnostics["runs"])}
     marg_by_run = {d["seed"] - cfg.seed: v for v, d in zip(rep_marginal.per_run, rep_marginal.diagnostics["runs"])}
     per_run = [full_by_run[r] - marg_by_run[r] for r in range(cfg.runs) if r not in failed]
     failures = rep_full.failed_runs + rep_marginal.failed_runs
-    mean = float(np.mean(per_run)) if per_run else float("nan")
-    std = float(np.std(per_run, ddof=1)) if len(per_run) > 1 else (0.0 if per_run else float("nan"))
+    diagnostics = {"full": rep_full.diagnostics, "marginal": rep_marginal.diagnostics}
+    return _report("midiff-fmine", per_run, failures, diagnostics)
+
+
+def _ksg_estimate(samples: SampleSet, cfg: EstimatorConfig, ksg_config: KSGConfig | None):
+    """KSG in its conditional or unconditional form, picked from dz."""
+    s = samples.standardized() if cfg.standardize else samples
+    if s.dz > 0:
+        res = ksg_cmi_result(s.x, s.y, s.z, ksg_config)
+    else:
+        res = ksg_mi_result(s.x, s.y, ksg_config)
     return EstimateReport(
-        estimator=f"midiff-{base}",
-        per_run=per_run,
-        mean=mean,
-        std=std,
-        failed_runs=failures,
-        diagnostics={"full": rep_full.diagnostics, "marginal": rep_marginal.diagnostics},
+        estimator="ksg",
+        per_run=[res.value],
+        mean=res.value,
+        std=0.0,
+        diagnostics={
+            "jitter_applied": res.jitter_applied,
+            "saturated": res.saturated,
+            "k": res.k,
+        },
     )
+
+
+# estimator id -> report of (samples, config, jobs, ksg_config); KSG
+# threads its own tree queries and ignores ``jobs``
+_ESTIMATORS = {
+    "cmigan": lambda s, cfg, jobs, _: cmi_gan_estimate(s, cfg, jobs),
+    "migan": lambda s, cfg, jobs, _: mi_gan_estimate(s, cfg, jobs),
+    "midiffgan": lambda s, cfg, jobs, _: mi_diff_gan_estimate(s, cfg, jobs),
+    "fmine": lambda s, cfg, jobs, _: f_mine_mi_estimate(s, cfg, jobs),
+    "midiff-fmine": lambda s, cfg, jobs, _: mi_diff_cmi_estimate(s, cfg, jobs),
+    "ksg": lambda s, cfg, _, ksg_config: _ksg_estimate(s, cfg, ksg_config),
+}
+
+ESTIMATOR_IDS = tuple(_ESTIMATORS)
 
 
 def estimate(
@@ -674,32 +602,6 @@ def estimate(
     ``ksg`` picks the conditional or unconditional form from dz; the
     network estimators enforce their own dz preconditions.
     """
-    cfg = config or EstimatorConfig()
-    if estimator == "cmigan":
-        return cmi_gan_estimate(samples, cfg, jobs=jobs)
-    if estimator == "migan":
-        return mi_gan_estimate(samples, cfg, jobs=jobs)
-    if estimator == "midiffgan":
-        return mi_diff_gan_estimate(samples, cfg, jobs=jobs)
-    if estimator == "fmine":
-        return f_mine_mi_estimate(samples, cfg, jobs=jobs)
-    if estimator == "midiff-fmine":
-        return mi_diff_cmi_estimate(samples, base="fmine", config=cfg, jobs=jobs)
-    if estimator == "ksg":
-        s = samples.standardized() if cfg.standardize else samples
-        if s.dz > 0:
-            res = ksg_cmi_result(s.x, s.y, s.z, ksg_config)
-        else:
-            res = ksg_mi_result(s.x, s.y, ksg_config)
-        return EstimateReport(
-            estimator="ksg",
-            per_run=[res.value],
-            mean=res.value,
-            std=0.0,
-            diagnostics={
-                "jitter_applied": res.jitter_applied,
-                "saturated": res.saturated,
-                "k": res.k,
-            },
-        )
-    raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_IDS}")
+    if estimator not in _ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_IDS}")
+    return _ESTIMATORS[estimator](samples, config or EstimatorConfig(), jobs, ksg_config)

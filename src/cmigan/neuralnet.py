@@ -79,17 +79,6 @@ class MLPParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def copy(self) -> "MLPParams":
-        return MLPParams(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def flat(self) -> np.ndarray:
-        """All parameters concatenated into one vector (weights then bias per layer)."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
-
 
 @dataclass
 class MLPGrads:

@@ -238,21 +238,16 @@ class TestVariants:
 
     def test_mi_diff_pairing_uses_matched_seeds(self):
         s = _toy_cmi_samples()
-        rep = mi_diff_cmi_estimate(s, base="fmine", config=TINY)
+        rep = mi_diff_cmi_estimate(s, config=TINY)
         assert rep.estimator == "midiff-fmine"
         assert len(rep.per_run) == 2
         full = rep.diagnostics["full"]["runs"]
         marg = rep.diagnostics["marginal"]["runs"]
         assert [d["seed"] for d in full] == [d["seed"] for d in marg]
 
-    def test_mi_diff_rejects_ksg_base(self):
-        # the KSG difference form is estimate(samples, "ksg") with dz >= 1
-        with pytest.raises(ValueError):
-            mi_diff_cmi_estimate(_toy_cmi_samples(n=512), base="ksg")
-
     def test_difference_identity_against_manual_composition(self):
         s = _toy_cmi_samples()
-        rep = mi_diff_cmi_estimate(s, base="fmine", config=TINY)
+        rep = mi_diff_cmi_estimate(s, config=TINY)
         std = s.standardized()
         sub = dataclasses.replace(TINY, standardize=False)
         full = f_mine_mi_estimate(SampleSet(std.data, (1, 3, 0)), sub)
