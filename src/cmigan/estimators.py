@@ -563,17 +563,12 @@ def _ksg_estimate(samples: SampleSet, cfg: EstimatorConfig, ksg_config: KSGConfi
         res = ksg_cmi_result(s.x, s.y, s.z, ksg_config)
     else:
         res = ksg_mi_result(s.x, s.y, ksg_config)
-    return EstimateReport(
-        estimator="ksg",
-        per_run=[res.value],
-        mean=res.value,
-        std=0.0,
-        diagnostics={
-            "jitter_applied": res.jitter_applied,
-            "saturated": res.saturated,
-            "k": res.k,
-        },
-    )
+    diagnostics = {
+        "jitter_applied": res.jitter_applied,
+        "saturated": res.saturated,
+        "k": res.k,
+    }
+    return _report("ksg", [res.value], [], diagnostics)
 
 
 # estimator id -> report of (samples, config, jobs, ksg_config); KSG

@@ -4,7 +4,7 @@ Everything here is plain float64 numpy. Networks are ReLU-hidden,
 identity-output MLPs stored as explicit weight/bias lists, initialized
 uniformly in ``+-sqrt(6/fan_in)`` with zero biases. Gradients are exact
 reverse-mode derivatives of ``sum_i <upstream_i, output_i>``, which is
-what the adversarial training loops need (the upstream vector carries
+what the adversarial training loop needs (the upstream vector carries
 the per-sample objective weights).
 """
 
