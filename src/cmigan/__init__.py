@@ -14,9 +14,7 @@ from .bounds import (
     ScorePair,
     dv_objective,
     fdiv_objective,
-    gen_loss,
     log_mean_exp,
-    reg_loss,
 )
 from .citest import CITBenchReport, auroc, ci_decide, run_cit_benchmark
 from .datagen import (
@@ -67,9 +65,7 @@ __all__ = [
     "ScorePair",
     "dv_objective",
     "fdiv_objective",
-    "gen_loss",
     "log_mean_exp",
-    "reg_loss",
     "CITBenchReport",
     "auroc",
     "ci_decide",

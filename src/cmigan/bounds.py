@@ -6,10 +6,10 @@ critic evaluated on samples of the two distributions:
 * Donsker-Varadhan:  ``E_P[R] - log E_Q[exp(R)]``
 * f-divergence form: ``E_P[R] - E_Q[exp(R - 1)]``
 
-The f-divergence bound never exceeds the DV bound for the same scores
-(``log x <= x - 1`` applied at ``x = E[exp(R)]/e``... more directly,
-``E[exp(R-1)] >= log E[exp(R)]`` by ``y >= 1 + log y``), so ``fdiv <= dv``
-pointwise in the scores. All expectations here are plain sample means.
+The f-divergence bound never exceeds the DV bound for the same scores:
+``x >= 1 + log x`` at ``x = E[exp(R)]/e`` reads
+``E[exp(R - 1)] >= log E[exp(R)]``, so ``fdiv <= dv`` pointwise in the
+scores. All expectations here are plain sample means.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# exp() argument above which the f-divergence objective clamps; callers
-# that care (the f-MINE loop) count clamp hits into their diagnostics.
+# exp() argument above which the f-divergence objective clamps;
+# fdiv_product_grad counts the scores that hit it.
 FDIV_EXP_CLAMP = 80.0
 
 
@@ -77,26 +77,22 @@ def fdiv_objective(pair: ScorePair) -> float:
     """f-divergence bound: ``mean(joint) - mean(exp(product - 1))``.
 
     The exponent is clamped at :data:`FDIV_EXP_CLAMP` so pathological
-    scores cannot overflow; use :func:`fdiv_clamp_count` to detect it.
+    scores cannot overflow; :func:`fdiv_product_grad` gives the gradient
+    of the product term and counts the clamped scores.
     """
     exponent = np.minimum(pair.scores_product - 1.0, FDIV_EXP_CLAMP)
     return float(np.mean(pair.scores_joint)) - float(np.mean(np.exp(exponent)))
 
 
-def fdiv_clamp_count(pair: ScorePair) -> int:
-    """How many product scores hit the f-divergence exponent clamp."""
-    return int(np.count_nonzero(pair.scores_product - 1.0 > FDIV_EXP_CLAMP))
+def fdiv_product_grad(scores_product: np.ndarray) -> tuple[np.ndarray, int]:
+    """Gradient of ``mean(exp(product - 1))`` and the clamp hit count.
 
-
-def reg_loss(pair: ScorePair) -> float:
-    """Regression-network training loss: the negated DV objective."""
-    return -dv_objective(pair)
-
-
-def gen_loss(scores_product: np.ndarray) -> float:
-    """Generator training loss: ``-log_mean_exp(scores_product)``.
-
-    Only generated samples enter; gradients reach the generator through
-    the scores on its own output.
+    The gradient is ``exp(s_i - 1) / n`` for each of the ``n`` scores,
+    and zero where the exponent exceeds :data:`FDIV_EXP_CLAMP`, since the
+    clamp flattens the objective there.
     """
-    return -log_mean_exp(scores_product)
+    v = _as_scores(scores_product, "scores_product")
+    exponent = v - 1.0
+    clamped = exponent > FDIV_EXP_CLAMP
+    grad = np.where(clamped, 0.0, np.exp(np.minimum(exponent, FDIV_EXP_CLAMP)) / v.size)
+    return grad, int(np.count_nonzero(clamped))

@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import (
-    FDIV_EXP_CLAMP,
     ScorePair,
     dv_objective,
     fdiv_objective,
+    fdiv_product_grad,
     log_mean_exp,
     softmax_weights,
 )
@@ -239,18 +239,13 @@ def _validate_for_training(s: SampleSet, cfg: EstimatorConfig):
         log.warning("n=%d is below the recommended 2*batch_size=%d", s.n, 2 * cfg.batch_size)
 
 
-def _finite_or_raise(value: float, what: str, step: int):
-    if not np.isfinite(value):
+def _finite(value, what: str, step: int):
+    """``value`` (a loss or a score array) if it is all finite. A wild
+    learning rate can overflow the forward pass while the parameters are
+    still finite, which counts as a failed run, not a caller error."""
+    if not np.isfinite(value).all():
         raise NumericalError(f"{what} became non-finite at step {step}")
-
-
-def _finite_scores(arr: np.ndarray, what: str, step: int) -> np.ndarray:
-    """Network outputs feeding an objective must be finite; a wild learning
-    rate can overflow the forward pass while the parameters are still
-    finite, which counts as a failed run, not a caller error."""
-    if not np.isfinite(arr).all():
-        raise NumericalError(f"{what} became non-finite at step {step}")
-    return arr
+    return value
 
 
 class _Net:
@@ -289,21 +284,14 @@ def _critic_step(net: _Net, joint_in, prod_in, fdiv: bool, label: str, lr: float
     b = joint_in.shape[0]
     s_joint, cache_j = mlp_forward_cached(net.params, joint_in)
     s_prod, cache_p = mlp_forward_cached(net.params, prod_in)
-    _finite_scores(s_joint, "joint scores", step)
-    _finite_scores(s_prod, "product scores", step)
+    _finite(s_joint, "joint scores", step)
+    _finite(s_prod, "product scores", step)
     clamp_hits = 0
     if fdiv:
-        loss = -fdiv_objective(ScorePair(s_joint.ravel(), s_prod.ravel()))
-        _finite_or_raise(loss, label, step)
-        exponent = s_prod.ravel() - 1.0
-        clamped = exponent > FDIV_EXP_CLAMP
-        clamp_hits = int(np.count_nonzero(clamped))
-        # gradient of -fdiv: +exp(s-1)/b on unclamped product scores,
-        # zero where the clamp flattens the objective
-        g_prod = np.where(clamped, 0.0, np.exp(np.minimum(exponent, FDIV_EXP_CLAMP)) / b)
+        loss = _finite(-fdiv_objective(ScorePair(s_joint.ravel(), s_prod.ravel())), label, step)
+        g_prod, clamp_hits = fdiv_product_grad(s_prod.ravel())
     else:
-        loss = -float(s_joint.mean()) + log_mean_exp(s_prod)
-        _finite_or_raise(loss, label, step)
+        loss = _finite(-float(s_joint.mean()) + log_mean_exp(s_prod), label, step)
         g_prod = softmax_weights(s_prod.ravel())
     grads = add_grads(
         mlp_backward_cached(net.params, cache_j, np.full((b, 1), -1.0 / b)),
@@ -389,9 +377,9 @@ def _train_run(
             scored = []
             for i, (critic, (blocks, _)) in enumerate(zip(critics, critic_table)):
                 s, cache = mlp_forward_cached(critic.params, product(batch, swapped, blocks))
-                scored.append((_finite_scores(s, f"{names[i]}product scores", step), cache))
+                scored.append((_finite(s, f"{names[i]}product scores", step), cache))
             l_gen = _total([-sign * log_mean_exp(s) for sign, (s, _) in zip(signs, scored)])
-            _finite_or_raise(l_gen, "generator loss", step)
+            _finite(l_gen, "generator loss", step)
             d_swapped = []
             for critic, (blocks, sign), (s, cache) in zip(critics, critic_table, scored):
                 d_scores = -sign * softmax_weights(s.ravel())[:, None]
@@ -403,9 +391,7 @@ def _train_run(
             trace.append((step, _total(losses), l_gen))
 
     joint_full = [
-        _finite_scores(
-            mlp_forward(critic.params, joint(full, blocks)).ravel(), "joint scores", last
-        )
+        _finite(mlp_forward(critic.params, joint(full, blocks)).ravel(), "joint scores", last)
         for critic, (blocks, _) in zip(critics, critic_table)
     ]
     objective = fdiv_objective if gen is None else dv_objective
@@ -415,11 +401,10 @@ def _train_run(
         values = []
         for critic, (blocks, sign), s_joint in zip(critics, critic_table, joint_full):
             s_prod = mlp_forward(critic.params, product(full, swapped, blocks)).ravel()
-            _finite_scores(s_prod, "product scores", last)
+            _finite(s_prod, "product scores", last)
             values.append(sign * objective(ScorePair(s_joint, s_prod)))
         eval_values.append(_total(values))
-    estimate = float(np.mean(eval_values))
-    _finite_or_raise(estimate, "final estimate", last)
+    estimate = _finite(float(np.mean(eval_values)), "final estimate", last)
 
     diag = {"seed": seed, "final_reg_loss": _total(losses)}
     if gen is not None:

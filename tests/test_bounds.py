@@ -9,11 +9,9 @@ from cmigan.bounds import (
     FDIV_EXP_CLAMP,
     ScorePair,
     dv_objective,
-    fdiv_clamp_count,
     fdiv_objective,
-    gen_loss,
+    fdiv_product_grad,
     log_mean_exp,
-    reg_loss,
     softmax_weights,
 )
 
@@ -54,22 +52,36 @@ def test_fdiv_objective_frozen_examples():
 
 def test_fdiv_clamp():
     pair = ScorePair([0.0], [200.0, 0.0])
-    assert fdiv_clamp_count(pair) == 1
     assert np.isfinite(fdiv_objective(pair))
     assert fdiv_objective(pair) == pytest.approx(
         0.0 - (math.exp(FDIV_EXP_CLAMP) + math.exp(-1.0)) / 2.0
     )
 
 
-def test_gen_loss_examples():
-    assert gen_loss(np.array([math.log(2.0)] * 2)) == pytest.approx(-math.log(2.0), abs=1e-12)
-    # large scores stay stable instead of overflowing
-    assert gen_loss(np.array([1000.0, 1000.0])) == pytest.approx(-1000.0, abs=1e-9)
+def test_fdiv_product_grad_matches_finite_differences_and_counts_clamps():
+    def product_term(s):
+        # mean(exp(s - 1)); a zero joint score leaves only the product term
+        return -fdiv_objective(ScorePair([0.0], s))
 
+    rng = np.random.default_rng(3)
+    v = rng.normal(scale=2.0, size=9)
+    grad, hits = fdiv_product_grad(v)
+    assert hits == 0
+    h = 1e-4
+    for i in range(len(v)):
+        up, down = v.copy(), v.copy()
+        up[i] += h
+        down[i] -= h
+        fd = (product_term(up) - product_term(down)) / (2 * h)
+        assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
-def test_reg_loss_is_negated_dv():
-    pair = ScorePair([0.4, 1.0, -0.3], [0.1, 0.2])
-    assert reg_loss(pair) == -dv_objective(pair)
+    edge = 1.0 + FDIV_EXP_CLAMP
+    clamped = np.array([0.5, edge + 1e-9, 200.0, edge, 1e6, -3.0])
+    grad, hits = fdiv_product_grad(clamped)
+    assert hits == 3
+    assert grad[1] == grad[2] == grad[4] == 0.0
+    assert grad[3] == pytest.approx(math.exp(FDIV_EXP_CLAMP) / 6, rel=1e-12)
+    assert grad[0] == pytest.approx(math.exp(-0.5) / 6, rel=1e-12)
 
 
 def test_validation():
