@@ -17,7 +17,6 @@ import numpy as np
 
 LR_FLOOR = 1e-8
 
-_ACTIVATIONS = ("relu", "identity")
 _SCHEDULE_MODES = ("total_decay", "per_interval")
 
 
@@ -36,26 +35,17 @@ class MLPSpec:
     hidden_dims : tuple of int
         Hidden-layer widths. May be empty, which degenerates to a single
         linear map (handy for identity sanity checks).
-    hidden_activation, output_activation : str
-        ``"relu"`` for hidden layers and ``"identity"`` for the output
-        are the only supported pair.
     """
 
     input_dim: int
     hidden_dims: tuple[int, ...]
     output_dim: int
-    hidden_activation: str = "relu"
-    output_activation: str = "identity"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(int(d) != d or d < 1 for d in dims):
             raise ValueError(f"layer widths must be positive integers, got {dims}")
-        if self.hidden_activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
-        if self.output_activation != "identity":
-            raise ValueError("only identity output activation is supported")
 
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_dims, self.output_dim)
@@ -122,8 +112,19 @@ def _check_batch(params: MLPParams, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _forward_pass(params: MLPParams, batch: np.ndarray):
-    """Forward pass keeping per-layer inputs and pre-activations for backprop."""
+def mlp_forward(params: MLPParams, batch: np.ndarray) -> np.ndarray:
+    """Evaluate the network on a batch, returning ``(n, output_dim)`` scores."""
+    return mlp_forward_cached(params, batch)[0]
+
+
+def mlp_forward_cached(params: MLPParams, batch: np.ndarray):
+    """Like :func:`mlp_forward` but also returns the activation cache
+    (per-layer inputs and pre-activations).
+
+    The cache feeds :func:`mlp_backward_cached`, which saves the training
+    loops one redundant forward pass per update.
+    """
+    batch = _check_batch(params, batch)
     layer_inputs = [batch]
     pre_acts = []
     h = batch
@@ -137,26 +138,10 @@ def _forward_pass(params: MLPParams, batch: np.ndarray):
     return h, (layer_inputs, pre_acts)
 
 
-def mlp_forward(params: MLPParams, batch: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a batch, returning ``(n, output_dim)`` scores."""
-    batch = _check_batch(params, batch)
-    out, _ = _forward_pass(params, batch)
-    return out
-
-
-def mlp_forward_cached(params: MLPParams, batch: np.ndarray):
-    """Like :func:`mlp_forward` but also returns the activation cache.
-
-    The cache feeds :func:`mlp_backward_cached`, which saves the training
-    loops one redundant forward pass per update.
-    """
-    batch = _check_batch(params, batch)
-    return _forward_pass(params, batch)
-
-
-def _backward_pass(params: MLPParams, cache, upstream: np.ndarray) -> MLPGrads:
+def mlp_backward_cached(params: MLPParams, cache, upstream_grad: np.ndarray) -> MLPGrads:
+    """Backward pass reusing the cache from :func:`mlp_forward_cached`."""
     layer_inputs, pre_acts = cache
-    upstream = np.asarray(upstream, dtype=np.float64)
+    upstream = np.asarray(upstream_grad, dtype=np.float64)
     if upstream.shape != pre_acts[-1].shape:
         raise ValueError(
             f"upstream gradient shape {upstream.shape} does not match output {pre_acts[-1].shape}"
@@ -191,14 +176,8 @@ def mlp_backward(params: MLPParams, batch: np.ndarray, upstream_grad: np.ndarray
         Weight/bias gradients shaped like ``params`` plus the gradient
         with respect to ``batch``.
     """
-    batch = _check_batch(params, batch)
-    _, cache = _forward_pass(params, batch)
-    return _backward_pass(params, cache, upstream_grad)
-
-
-def mlp_backward_cached(params: MLPParams, cache, upstream_grad: np.ndarray) -> MLPGrads:
-    """Backward pass reusing the cache from :func:`mlp_forward_cached`."""
-    return _backward_pass(params, cache, upstream_grad)
+    _, cache = mlp_forward_cached(params, batch)
+    return mlp_backward_cached(params, cache, upstream_grad)
 
 
 def add_grads(a: MLPGrads, b: MLPGrads) -> MLPGrads:
@@ -388,7 +367,7 @@ def gradient_check(
             params = mlp_init(spec, seed=int(rng.integers(2**31)))
             batch = rng.normal(size=(int(rng.integers(2, 6)), spec.input_dim))
             upstream = rng.normal(size=(batch.shape[0], spec.output_dim))
-            _, (_, pre_acts) = _forward_pass(params, batch)
+            _, (_, pre_acts) = mlp_forward_cached(params, batch)
             margin = min(float(np.abs(p).min()) for p in pre_acts[:-1]) if len(pre_acts) > 1 else 1.0
             if margin > 5e-3:
                 break

@@ -24,10 +24,6 @@ def test_spec_shapes_and_validation():
     assert spec.layer_dims() == (7, 128, 32, 1)
     with pytest.raises(ValueError):
         MLPSpec(0, (4,), 1)
-    with pytest.raises(ValueError):
-        MLPSpec(2, (4,), 1, hidden_activation="sigmoid")
-    with pytest.raises(ValueError):
-        MLPSpec(2, (4,), 1, output_activation="relu")
 
 
 def test_init_shapes_and_bounds():
