@@ -76,35 +76,17 @@ def _cols(text: str | None) -> list:
 
 
 def _estimator_config(args, seed: int) -> EstimatorConfig:
+    """The base config with every given flag applied; each estimator flag's
+    ``dest`` names the :class:`EstimatorConfig` field it sets."""
     base = EstimatorConfig.cit_defaults() if args.cit_defaults else EstimatorConfig()
-    overrides = dict(
-        runs=args.runs,
-        seed=seed,
-        standardize=not args.no_standardize,
-        record_trace=args.trace is not None,
+    fields = {f.name for f in dataclasses.fields(EstimatorConfig)}
+    overrides = {key: v for key, v in vars(args).items() if key in fields and v is not None}
+    for key in ("reg_hidden", "gen_hidden"):
+        if key in overrides:
+            overrides[key] = tuple(_int_list(overrides[key]))
+    overrides.update(
+        seed=seed, standardize=not args.no_standardize, record_trace=args.trace is not None
     )
-    if args.steps is not None:
-        overrides["training_steps"] = args.steps
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if args.lr is not None:
-        overrides["initial_lr"] = args.lr
-    if args.reg_hidden is not None:
-        overrides["reg_hidden"] = tuple(_int_list(args.reg_hidden))
-    if args.gen_hidden is not None:
-        overrides["gen_hidden"] = tuple(_int_list(args.gen_hidden))
-    if args.ratio is not None:
-        overrides["reg_training_ratio"] = args.ratio
-    if args.noise_dim is not None:
-        overrides["noise_dim"] = args.noise_dim
-    if args.eval_passes is not None:
-        overrides["eval_passes"] = args.eval_passes
-    if args.lr_interval is not None:
-        overrides["lr_interval_steps"] = args.lr_interval
-    if args.lr_decay is not None:
-        overrides["lr_decay_factor"] = args.lr_decay
-    if args.lr_mode is not None:
-        overrides["lr_mode"] = args.lr_mode
     return dataclasses.replace(base, **overrides)
 
 
@@ -134,7 +116,6 @@ def _dataset_spec_from_args(args) -> dict:
             "dims": dims,
             "mapping": mapping,
             "semicolon": args.semicolon,
-            "normalize": args.normalize,
             "shuffle_seed": args.shuffle_seed,
         }
     if args.model is not None:
@@ -164,9 +145,11 @@ def _load_dataset(spec: dict):
         )
         return samples
     if spec["kind"] == "csv":
+        if spec.get("normalize", "none") != "none":
+            # an older report may ask for the removed load-time z-scoring
+            raise UsageError(f"dataset normalize={spec['normalize']!r} is no longer supported")
         if spec.get("dims") is not None:
             dx, dy, dz = spec["dims"]
-            header = None
             with open(spec["path"], encoding="utf-8") as fh:
                 reader = csv.reader(fh, delimiter=";" if spec["semicolon"] else ",")
                 header = next(reader, None)
@@ -176,20 +159,13 @@ def _load_dataset(spec: dict):
                 raise DataError(
                     f"--dims {dx},{dy},{dz} does not cover the {len(header)} CSV columns"
                 )
-            mapping = ColumnMapping(
-                x_cols=list(range(dx)),
-                y_cols=list(range(dx, dx + dy)),
-                z_cols=list(range(dx + dy, dx + dy + dz)),
-                normalization=spec.get("normalize", "none"),
-                shuffle_seed=spec.get("shuffle_seed"),
-            )
+            mapping = ColumnMapping.from_dims((dx, dy, dz), spec.get("shuffle_seed"))
         else:
             m = spec["mapping"]
             mapping = ColumnMapping(
                 x_cols=m["x_cols"],
                 y_cols=m["y_cols"],
                 z_cols=m.get("z_cols", []),
-                normalization=spec.get("normalize", "none"),
                 shuffle_seed=spec.get("shuffle_seed"),
             )
         loaded = load_csv(spec["path"], mapping, semicolon=spec["semicolon"])
@@ -353,13 +329,7 @@ def cmd_citest(args) -> int:
     datasets, ids = [], []
     for entry in entries:
         path = entry.csv if os.path.isabs(entry.csv) else os.path.join(base, entry.csv)
-        dx, dy, dz = entry.dims
-        mapping = ColumnMapping(
-            x_cols=list(range(dx)),
-            y_cols=list(range(dx, dx + dy)),
-            z_cols=list(range(dx + dy, dx + dy + dz)),
-        )
-        datasets.append((load_csv(path, mapping).samples, entry.label))
+        datasets.append((load_csv(path, ColumnMapping.from_dims(entry.dims)).samples, entry.label))
         ids.append(entry.csv)
     return _score_suite(args, "citest", seed, args.manifest, datasets, ids)
 
@@ -406,16 +376,21 @@ def _add_estimator_flags(p: argparse.ArgumentParser):
     p.add_argument("--runs", type=int, default=1, help="independent training runs to average")
     p.add_argument("--seed", type=int, default=None,
                    help=f"base seed (default: ${SEED_ENV} or 0); run r uses seed+r")
-    p.add_argument("--steps", type=int, default=None, help="training steps per run")
+    p.add_argument("--steps", dest="training_steps", metavar="STEPS", type=int, default=None,
+                   help="training steps per run")
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None, help="initial learning rate")
+    p.add_argument("--lr", dest="initial_lr", metavar="LR", type=float, default=None,
+                   help="initial learning rate")
     p.add_argument("--reg-hidden", default=None, help="regression net hidden widths, e.g. 128,32")
     p.add_argument("--gen-hidden", default=None, help="generator hidden widths, e.g. 256,64")
-    p.add_argument("--ratio", type=int, default=None, help="regressor updates per generator update")
+    p.add_argument("--ratio", dest="reg_training_ratio", metavar="RATIO", type=int, default=None,
+                   help="regressor updates per generator update")
     p.add_argument("--noise-dim", type=int, default=None)
     p.add_argument("--eval-passes", type=int, default=None)
-    p.add_argument("--lr-interval", type=int, default=None, help="steps per decay interval")
-    p.add_argument("--lr-decay", type=float, default=None, help="total decay factor")
+    p.add_argument("--lr-interval", dest="lr_interval_steps", metavar="LR_INTERVAL", type=int,
+                   default=None, help="steps per decay interval")
+    p.add_argument("--lr-decay", dest="lr_decay_factor", metavar="LR_DECAY", type=float,
+                   default=None, help="total decay factor")
     p.add_argument("--lr-mode", choices=["total_decay", "per_interval"], default=None)
     p.add_argument("--cit-defaults", action="store_true",
                    help="start from the conditional-independence-testing hyperparameters")
@@ -457,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z-cols", default=None)
     p.add_argument("--semicolon", action="store_true",
                    help="CSV uses ';' separators and ',' decimals")
-    p.add_argument("--normalize", choices=["none", "zscore"], default="none",
-                   help="normalization applied at load time (the estimators standardize anyway)")
     p.add_argument("--shuffle-seed", type=int, default=None, help="shuffle CSV rows with this seed")
     p.add_argument("--model", choices=MODEL_IDS, default=None, help="generate input data inline")
     p.add_argument("--n", type=int, default=None)

@@ -34,21 +34,27 @@ class ColumnMapping:
     """Which CSV columns form the x/y/z blocks.
 
     Columns may be header names or 0-based integer indices.
-    ``normalization`` is 'none' or 'zscore' (applied after row drops);
     ``shuffle_seed`` permutes rows reproducibly, None means keep order.
+    The estimators z-score their input, so loading does not.
     """
 
     x_cols: list
     y_cols: list
     z_cols: list = field(default_factory=list)
-    normalization: str = "none"
     shuffle_seed: int | None = None
 
     def __post_init__(self):
         if not self.x_cols or not self.y_cols:
             raise DataError("x_cols and y_cols must be non-empty")
-        if self.normalization not in ("none", "zscore"):
-            raise DataError(f"unknown normalization {self.normalization!r}")
+
+    @classmethod
+    def from_dims(cls, dims, shuffle_seed: int | None = None) -> "ColumnMapping":
+        """The mapping of a file whose columns are [x | y | z], ``dims`` wide."""
+        dx, dy, dz = dims
+        return cls(
+            list(range(dx)), list(range(dx, dx + dy)), list(range(dx + dy, dx + dy + dz)),
+            shuffle_seed=shuffle_seed,
+        )
 
 
 @dataclass
@@ -134,11 +140,6 @@ def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False) -> Load
     if not rows:
         raise DataError(f"{path}: no usable rows after dropping missing data")
     data = np.asarray(rows, dtype=np.float64)
-    if mapping.normalization == "zscore":
-        mu = data.mean(axis=0)
-        sd = data.std(axis=0)
-        sd = np.where(sd > 0.0, sd, 1.0)
-        data = (data - mu) / sd
     if mapping.shuffle_seed is not None:
         perm = np.random.default_rng(mapping.shuffle_seed).permutation(len(data))
         data = data[perm]

@@ -169,9 +169,14 @@ class TestEstimate:
         {"estimator": "ksg", "estimator_config": {"batch_size": "x"}, "dataset": _TINY_MODEL},
         {"estimator": "ksg", "estimator_config": {}, "dataset": _TINY_MODEL, "ksg": {"k": "5"}},
         {"estimator": "ksg", "estimator_config": {}, "dataset": _TINY_MODEL, "ksg": [5]},
+        # load-time z-scoring is rejected before the (missing) file is read
+        {"estimator": "ksg", "estimator_config": {}, "dataset": {
+            "kind": "csv", "path": "never-written.csv", "dims": [1, 1, 1], "mapping": None,
+            "semicolon": False, "shuffle_seed": None, "normalize": "zscore",
+        }},
     ], ids=[
         "missing-keys", "unknown-config-key", "non-object", "incomplete-dataset",
-        "ill-typed-config-value", "ill-typed-k", "non-object-ksg",
+        "ill-typed-config-value", "ill-typed-k", "non-object-ksg", "zscore-normalize",
     ])
     def test_malformed_replay_config_is_usage_error(self, tmp_path, capsys, doc):
         path = str(tmp_path / "bad.json")

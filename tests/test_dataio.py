@@ -96,15 +96,6 @@ def test_semicolon_dialect_with_decimal_commas(tmp_path):
     assert loaded.samples.data.tolist() == [[1.5, 2.25, 0.125], [3.0, 4.0, 5.0]]
 
 
-def test_zscore_normalization(tmp_path):
-    s, _ = gen_linear1(500, 1, seed=1)
-    path = str(tmp_path / "z.csv")
-    save_csv(s, path)
-    loaded = load_csv(path, _mapping(normalization="zscore"))
-    assert np.allclose(loaded.samples.data.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(loaded.samples.data.std(axis=0), 1.0, atol=1e-12)
-
-
 def test_shuffle_seed_reproducible(tmp_path):
     s, _ = gen_linear1(100, 1, seed=2)
     path = str(tmp_path / "p.csv")
@@ -146,8 +137,6 @@ def test_error_cases(tmp_path):
 
     with pytest.raises(DataError):
         ColumnMapping(x_cols=[], y_cols=["y0"])
-    with pytest.raises(DataError):
-        ColumnMapping(x_cols=["x0"], y_cols=["y0"], normalization="minmax")
 
 
 def test_sidecar_round_trip(tmp_path):
