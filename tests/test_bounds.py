@@ -82,6 +82,7 @@ def test_fdiv_product_grad_matches_finite_differences_and_counts_clamps():
     assert grad[1] == grad[2] == grad[4] == 0.0
     assert grad[3] == pytest.approx(math.exp(FDIV_EXP_CLAMP) / 6, rel=1e-12)
     assert grad[0] == pytest.approx(math.exp(-0.5) / 6, rel=1e-12)
+    assert grad[5] == pytest.approx(math.exp(-4.0) / 6, rel=1e-12)
 
 
 def test_validation():
