@@ -126,6 +126,64 @@ def test_gradient_check_passes():
     assert report.worst_rel_err < 1e-4
 
 
+def test_gradient_check_worst_error_pinned():
+    # the redraw rule reads hidden pre-activations, so a forward pass that
+    # changed them by one ulp would redraw other nets and move this value
+    report = gradient_check(num_nets=25, seed=0)
+    assert report.worst_rel_err.hex() == "0x1.a87986445a1fcp-31"
+
+
+def _signed_zero_net():
+    """A 2-(3,2)-1 net, a batch and an upstream gradient whose first-layer
+    pre-activations hold an exact +0.0 (``1 - 2*0.5``) and an exact -0.0
+    (a product that underflows to -0.0, plus a -0.0 bias)."""
+    spec = MLPSpec(2, (3, 2), 1)
+    weights = [
+        np.array([[-1e-200, 1.0, 0.5], [-1e-200, -0.5, 0.25]]),
+        np.array([[1.0, -1.0], [-2.0, 0.5], [0.75, -1.5]]),
+        np.array([[1.5], [-2.0]]),
+    ]
+    biases = [np.array([-0.0, 0.0, -0.25]), np.array([-0.0, 0.2]), np.array([0.3])]
+    batch = np.array([[1e-200, 1e-200], [1.0, 2.0], [-1.0, 0.5], [2.0, -1.0]])
+    upstream = np.array([[0.5], [-1.25], [2.0], [-0.75]])
+    return MLPParams(spec, weights, biases), batch, upstream
+
+
+def test_backward_at_signed_zero_pre_activations_pinned():
+    params, batch, upstream = _signed_zero_net()
+    pre = batch @ params.weights[0] + params.biases[0]
+    assert pre[1, 1] == 0.0 and not np.signbit(pre[1, 1])
+    assert pre[0, 0] == 0.0 and np.signbit(pre[0, 0])
+    grads = mlp_backward(params, batch, upstream)
+
+    def hexes(arrays):
+        return [[float(v).hex() for v in a.ravel()] for a in arrays]
+
+    assert hexes(grads.weights) == [
+        [
+            "-0x1.c000000000000p+2", "0x1.8000000000000p+0", "-0x1.7a00000000000p+2",
+            "0x1.c000000000000p+1", "-0x1.8000000000000p-1", "-0x1.2000000000000p-1",
+        ],
+        [
+            "0x1.25eed8ffb39c1p-664", "-0x1.87e92154ef7acp-664", "0x0.0p+0",
+            "0x1.e000000000000p+1", "-0x1.6800000000000p+0", "0x1.8000000000000p-1",
+        ],
+        ["-0x1.6800000000000p-1", "-0x1.9999999999978p-6"],
+    ]
+    assert hexes(grads.biases) == [
+        ["0x1.c000000000000p+2", "0x1.0000000000000p-2", "-0x1.d400000000000p+1"],
+        ["0x1.2000000000000p+0", "-0x1.c000000000000p+1"],
+        ["0x1.0000000000000p-1"],
+    ]
+    assert hexes([grads.inputs]) == [
+        [
+            "-0x1.0000000000000p-1", "0x1.0000000000000p-2", "-0x1.6800000000000p-1",
+            "-0x1.6800000000000p-2", "-0x1.56ebfd2a518b6p-662", "-0x1.56ebfd2a518b6p-662",
+            "-0x1.8000000000000p-2", "-0x1.e000000000000p-1",
+        ]
+    ]
+
+
 def test_gradient_check_catches_sign_flip():
     def flipped(params, batch, upstream):
         g = mlp_backward(params, batch, upstream)
