@@ -294,8 +294,8 @@ def _critic_step(net: _Net, joint_in, prod_in, fdiv: bool, label: str, lr: float
         loss = _finite(-float(s_joint.mean()) + log_mean_exp(s_prod), label, step)
         g_prod = softmax_weights(s_prod.ravel())
     grads = add_grads(
-        mlp_backward_cached(net.params, cache_j, np.full((b, 1), -1.0 / b)),
-        mlp_backward_cached(net.params, cache_p, g_prod[:, None]),
+        mlp_backward_cached(net.params, cache_j, np.full((b, 1), -1.0 / b), input_grad=False),
+        mlp_backward_cached(net.params, cache_p, g_prod[:, None], input_grad=False),
     )
     net.step(grads, lr)
     return loss, clamp_hits
@@ -386,7 +386,8 @@ def _train_run(
                 start = cols(blocks[: blocks.index(swap)])
                 d_input = mlp_backward_cached(critic.params, cache, d_scores).inputs
                 d_swapped.append(d_input[:, start : start + width[swap]])
-            gen.step(mlp_backward_cached(gen.params, cache_g, _total(d_swapped)), lr)
+            d_gen = _total(d_swapped)
+            gen.step(mlp_backward_cached(gen.params, cache_g, d_gen, input_grad=False), lr)
         if trace is not None:
             trace.append((step, _total(losses), l_gen))
 

@@ -6,6 +6,11 @@ uniformly in ``+-sqrt(6/fan_in)`` with zero biases. Gradients are exact
 reverse-mode derivatives of ``sum_i <upstream_i, output_i>``, which is
 what the adversarial training loop needs (the upstream vector carries
 the per-sample objective weights).
+
+The passes write each layer's bias add, ReLU and ReLU mask in place
+into the arrays they allocate, never into a caller's array. A forward
+cache holds only the layer inputs (the hidden ones post-ReLU), and the
+backward pass forms the input gradient only when asked for it.
 """
 
 from __future__ import annotations
@@ -76,12 +81,13 @@ class MLPGrads:
 
     ``weights``/``biases`` mirror :class:`MLPParams`; ``inputs`` is the
     gradient with respect to the input batch, which lets a caller chain
-    one network through another (generator through regressor).
+    one network through another (generator through regressor). It is
+    ``None`` when the backward pass was asked not to form it.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    inputs: np.ndarray
+    inputs: np.ndarray | None = None
 
 
 def mlp_init(spec: MLPSpec, seed: int) -> MLPParams:
@@ -118,33 +124,45 @@ def mlp_forward(params: MLPParams, batch: np.ndarray) -> np.ndarray:
 
 
 def mlp_forward_cached(params: MLPParams, batch: np.ndarray):
-    """Like :func:`mlp_forward` but also returns the activation cache
-    (per-layer inputs and pre-activations).
+    """Like :func:`mlp_forward` but also returns the activation cache: the
+    input of every layer (the batch, then each hidden layer's post-ReLU
+    activations).
 
+    Each layer's output is a fresh matmul result that the bias add and the
+    ReLU then overwrite in place; the caller's ``batch`` is never written.
     The cache feeds :func:`mlp_backward_cached`, which saves the training
     loops one redundant forward pass per update.
     """
     batch = _check_batch(params, batch)
     layer_inputs = [batch]
-    pre_acts = []
     h = batch
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        lin = h @ w + b
-        pre_acts.append(lin)
-        h = lin if i == last else np.maximum(lin, 0.0)
+        h = h @ w
+        h += b
         if i < last:
+            np.maximum(h, 0.0, out=h)
             layer_inputs.append(h)
-    return h, (layer_inputs, pre_acts)
+    return h, layer_inputs
 
 
-def mlp_backward_cached(params: MLPParams, cache, upstream_grad: np.ndarray) -> MLPGrads:
-    """Backward pass reusing the cache from :func:`mlp_forward_cached`."""
-    layer_inputs, pre_acts = cache
+def mlp_backward_cached(
+    params: MLPParams, cache, upstream_grad: np.ndarray, *, input_grad: bool = True
+) -> MLPGrads:
+    """Backward pass reusing the cache from :func:`mlp_forward_cached`.
+
+    The ReLU mask of a hidden layer is read off its cached post-ReLU
+    output (``> 0`` exactly where the pre-activation is) and applied in
+    place to the propagated delta. With ``input_grad=False`` the pass
+    stops before the input layer's ``delta @ W0.T`` and returns
+    ``inputs=None``, for callers that only update the parameters.
+    """
+    layer_inputs = cache
     upstream = np.asarray(upstream_grad, dtype=np.float64)
-    if upstream.shape != pre_acts[-1].shape:
+    out_shape = (layer_inputs[0].shape[0], params.spec.output_dim)
+    if upstream.shape != out_shape:
         raise ValueError(
-            f"upstream gradient shape {upstream.shape} does not match output {pre_acts[-1].shape}"
+            f"upstream gradient shape {upstream.shape} does not match output {out_shape}"
         )
     n_layers = len(params.weights)
     g_w: list[np.ndarray] = [None] * n_layers
@@ -153,9 +171,11 @@ def mlp_backward_cached(params: MLPParams, cache, upstream_grad: np.ndarray) -> 
     for i in range(n_layers - 1, -1, -1):
         g_w[i] = layer_inputs[i].T @ delta
         g_b[i] = delta.sum(axis=0)
+        if i == 0 and not input_grad:
+            return MLPGrads(g_w, g_b)
         delta = delta @ params.weights[i].T
         if i > 0:
-            delta = delta * (pre_acts[i - 1] > 0.0)
+            np.multiply(delta, layer_inputs[i] > 0.0, out=delta)
     return MLPGrads(g_w, g_b, delta)
 
 
@@ -181,11 +201,18 @@ def mlp_backward(params: MLPParams, batch: np.ndarray, upstream_grad: np.ndarray
 
 
 def add_grads(a: MLPGrads, b: MLPGrads) -> MLPGrads:
-    """Sum two gradient bundles (e.g. joint-batch and product-batch terms)."""
+    """Sum two gradient bundles (e.g. joint-batch and product-batch terms).
+
+    The input gradients are summed when both are present with one shape;
+    otherwise the result keeps ``a.inputs`` (``None`` when ``a`` has none).
+    """
+    inputs = a.inputs
+    if inputs is not None and b.inputs is not None and inputs.shape == b.inputs.shape:
+        inputs = inputs + b.inputs
     return MLPGrads(
         [ga + gb for ga, gb in zip(a.weights, b.weights)],
         [ga + gb for ga, gb in zip(a.biases, b.biases)],
-        a.inputs + b.inputs if a.inputs.shape == b.inputs.shape else a.inputs,
+        inputs,
     )
 
 
@@ -367,8 +394,9 @@ def gradient_check(
             params = mlp_init(spec, seed=int(rng.integers(2**31)))
             batch = rng.normal(size=(int(rng.integers(2, 6)), spec.input_dim))
             upstream = rng.normal(size=(batch.shape[0], spec.output_dim))
-            _, (_, pre_acts) = mlp_forward_cached(params, batch)
-            margin = min(float(np.abs(p).min()) for p in pre_acts[:-1]) if len(pre_acts) > 1 else 1.0
+            _, ins = mlp_forward_cached(params, batch)
+            hidden = zip(ins, params.weights[:-1], params.biases[:-1])
+            margin = min((float(np.abs(x @ w + b).min()) for x, w, b in hidden), default=1.0)
             if margin > 5e-3:
                 break
         grads = backward_fn(params, batch, upstream)

@@ -9,10 +9,13 @@ from cmigan.neuralnet import (
     MLPSpec,
     NumericalError,
     ScheduleConfig,
+    add_grads,
     gradient_check,
     lr_at,
     mlp_backward,
+    mlp_backward_cached,
     mlp_forward,
+    mlp_forward_cached,
     mlp_init,
     rmsprop_init,
     rmsprop_step,
@@ -182,6 +185,42 @@ def test_backward_at_signed_zero_pre_activations_pinned():
             "-0x1.8000000000000p-2", "-0x1.e000000000000p-1",
         ]
     ]
+
+
+def test_backward_without_input_grad_matches_full_backward():
+    spec = MLPSpec(3, (6, 4), 2)
+    params = mlp_init(spec, seed=5)
+    rng = np.random.default_rng(4)
+    batch = rng.normal(size=(9, 3))
+    upstream = rng.normal(size=(9, 2))
+    for p, x, u in ((params, batch, upstream), _signed_zero_net()):
+        _, cache = mlp_forward_cached(p, x)
+        full = mlp_backward_cached(p, cache, u)
+        short = mlp_backward_cached(p, cache, u, input_grad=False)
+        assert short.inputs is None and full.inputs is not None
+        for a, b in zip(full.weights + full.biases, short.weights + short.biases):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_passes_leave_caller_arrays_unchanged():
+    params, batch, upstream = _signed_zero_net()
+    batch_bytes, upstream_bytes = batch.tobytes(), upstream.tobytes()
+    out, cache = mlp_forward_cached(params, batch)
+    mlp_backward_cached(params, cache, upstream)
+    assert batch.tobytes() == batch_bytes
+    assert upstream.tobytes() == upstream_bytes
+    assert cache[0] is batch and not np.shares_memory(out, batch)
+
+
+def test_add_grads_without_input_grads():
+    params, batch, upstream = _signed_zero_net()
+    _, cache = mlp_forward_cached(params, batch)
+    a = mlp_backward_cached(params, cache, upstream, input_grad=False)
+    b = mlp_backward_cached(params, cache, -2.0 * upstream, input_grad=False)
+    total = add_grads(a, b)
+    assert total.inputs is None
+    for t, ga, gb in zip(total.weights + total.biases, a.weights + a.biases, b.weights + b.biases):
+        assert np.array_equal(t, ga + gb)
 
 
 def test_gradient_check_catches_sign_flip():
