@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .estimators import EstimatorConfig, estimate
 from .knn import KSGConfig
@@ -37,7 +36,10 @@ def auroc(scores, labels) -> float:
 
     Equals the Mann-Whitney U of the positive class divided by the
     number of (positive, negative) pairs, which is exactly the pairwise
-    definition with ties counted half.
+    definition with ties counted half. Each positive score counts the
+    negatives strictly below it plus half of those equal to it, which is
+    the mean of its left and right insertion points among the sorted
+    negatives.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -46,12 +48,10 @@ def auroc(scores, labels) -> float:
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
     _check_labels(labels)
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = len(labels) - n_pos
-    ranks = rankdata(scores)  # midranks
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    pos = scores[labels == 1]
+    neg = np.sort(scores[labels == 0])
+    u = (np.searchsorted(neg, pos, "left") + np.searchsorted(neg, pos, "right")).sum() / 2
+    return float(u / (len(pos) * len(neg)))
 
 
 def auroc_bruteforce(scores, labels) -> float:

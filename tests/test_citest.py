@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmigan
 from cmigan.citest import (
     DEFAULT_THRESHOLD,
     CITBenchReport,
@@ -14,6 +20,17 @@ from cmigan.citest import (
 )
 from cmigan.datagen import gen_cit
 from cmigan.estimators import EstimatorConfig
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats alone takes over a second to import; auroc needs only numpy
+    src = str(Path(cmigan.__file__).resolve().parents[1])
+    code = "import sys, cmigan; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestDecision:
@@ -70,9 +87,8 @@ class TestAuroc:
         labels = np.array([p[1] for p in pairs])
         if labels.sum() in (0, len(labels)):
             labels[0] = 1 - labels[0]
-        assert auroc(scores, labels) == pytest.approx(
-            auroc_bruteforce(scores, labels), abs=1e-12
-        )
+        # both count wins plus half-ties exactly, then divide once
+        assert auroc(scores, labels) == auroc_bruteforce(scores, labels)
 
     def test_invariant_under_increasing_transforms(self):
         rng = np.random.default_rng(0)
