@@ -349,6 +349,8 @@ _GOLDEN_CASES = {
     "fmine-ratio3-noise3": ("fmine", {"reg_training_ratio": 3, "noise_dim": 3}, 1),
     "midiffgan-unstandardized": ("midiffgan", {"standardize": False}, 1),
     "midiffgan-jobs2": ("midiffgan", {}, 2),
+    # 100 does not divide the 256 rows, so the last row block is short
+    **{f"{est}-batch100": (est, {"batch_size": 100}, 1) for est in _NETWORK_IDS},
     **{
         f"{est}-lr{lr:g}": (est, {"initial_lr": lr, "runs": 3}, 1)
         for est in _NETWORK_IDS
