@@ -43,7 +43,11 @@ from .bounds import (
     softmax_weights,
 )
 from .knn import KSGConfig, ksg_cmi_result, ksg_mi_result
+# perfbench's tracer wraps the passes, add_grads and rmsprop_step by
+# their names in this module, so they stay imported here even where the
+# training loop calls the in-place rmsprop_update instead
 from .neuralnet import (
+    MLPBuffers,
     MLPSpec,
     NumericalError,
     ScheduleConfig,
@@ -55,6 +59,7 @@ from .neuralnet import (
     mlp_init,
     rmsprop_init,
     rmsprop_step,
+    rmsprop_update,
 )
 
 log = logging.getLogger(__name__)
@@ -249,14 +254,19 @@ def _finite(value, what: str, step: int):
 
 
 class _Net:
-    """A parameter/optimizer bundle; keeps the training loop terse."""
+    """A network's parameters, its RMSProp state and the arrays of its
+    passes, allocated once for the run's batch size: ``passes`` pairs of
+    an input array and the :class:`MLPBuffers` that the pass writes into.
+    Each pair holds one forward cache at a time."""
 
-    def __init__(self, spec: MLPSpec, seed: int, cfg: EstimatorConfig):
+    def __init__(self, spec: MLPSpec, seed: int, cfg: EstimatorConfig, passes: int):
         self.params = mlp_init(spec, seed)
         self.state = rmsprop_init(self.params, rho=cfg.rmsprop_rho, eps=cfg.rmsprop_eps)
+        self.inputs = [np.empty((cfg.batch_size, spec.input_dim)) for _ in range(passes)]
+        self.buffers = [MLPBuffers(spec, cfg.batch_size) for _ in range(passes)]
 
     def step(self, grads, lr: float):
-        self.params, self.state = rmsprop_step(self.params, grads, self.state, lr)
+        rmsprop_update(self.params, grads, self.state, lr)
 
 
 # estimator id -> (swapped block, critics as (blocks read, sign), blocks
@@ -278,12 +288,14 @@ def _total(terms: list):
 
 
 def _critic_step(net: _Net, joint_in, prod_in, fdiv: bool, label: str, lr: float, step: int):
-    """One critic update on a joint and a product batch. Returns the loss
-    (the negated objective) and the number of clamped product scores,
-    which only the f-divergence objective has."""
+    """One critic update on a joint and a product batch, which the
+    critic's first and second buffers hold. Returns the loss (the negated
+    objective) and the number of clamped product scores, which only the
+    f-divergence objective has."""
     b = joint_in.shape[0]
-    s_joint, cache_j = mlp_forward_cached(net.params, joint_in)
-    s_prod, cache_p = mlp_forward_cached(net.params, prod_in)
+    joint_buf, prod_buf = net.buffers
+    s_joint, cache_j = mlp_forward_cached(net.params, joint_in, buffers=joint_buf)
+    s_prod, cache_p = mlp_forward_cached(net.params, prod_in, buffers=prod_buf)
     _finite(s_joint, "joint scores", step)
     _finite(s_prod, "product scores", step)
     clamp_hits = 0
@@ -293,11 +305,13 @@ def _critic_step(net: _Net, joint_in, prod_in, fdiv: bool, label: str, lr: float
     else:
         loss = _finite(-float(s_joint.mean()) + log_mean_exp(s_prod), label, step)
         g_prod = softmax_weights(s_prod.ravel())
-    grads = add_grads(
-        mlp_backward_cached(net.params, cache_j, np.full((b, 1), -1.0 / b), input_grad=False),
-        mlp_backward_cached(net.params, cache_p, g_prod[:, None], input_grad=False),
+    grads_joint = mlp_backward_cached(
+        net.params, cache_j, np.full((b, 1), -1.0 / b), input_grad=False, buffers=joint_buf
     )
-    net.step(grads, lr)
+    grads_prod = mlp_backward_cached(
+        net.params, cache_p, g_prod[:, None], input_grad=False, buffers=prod_buf
+    )
+    net.step(add_grads(grads_joint, grads_prod, out=grads_joint), lr)
     return loss, clamp_hits
 
 
@@ -318,39 +332,60 @@ def _train_run(
     the critics' log-mean-exp terms.
     The estimate averages ``eval_passes`` signed sums of the objectives on
     the full data, each pass with a fresh product sample.
+
+    Every batch-sized array is allocated once per run: the gathered
+    batch, the noise or permuted block, each network's inputs and
+    buffers. The evaluation runs the n rows through the same arrays in
+    blocks of ``b`` rows, so besides the data only the eval noise or
+    permutation and the per-row scores grow with n.
     """
     swap, critic_table, cond = _GAMES[kind]
     rng = np.random.default_rng(seed)
     n, b, last = data.shape[0], cfg.batch_size, cfg.training_steps
     dx, dy, _ = dims
-    full = {"x": data[:, :dx], "y": data[:, dx : dx + dy], "z": data[:, dx + dy :]}
-    width = {key: block.shape[1] for key, block in full.items()}
+    span = {"x": slice(0, dx), "y": slice(dx, dx + dy), "z": slice(dx + dy, data.shape[1])}
+    width = {key: cut.stop - cut.start for key, cut in span.items()}
     d_noise = cfg.noise_dim if cfg.noise_dim is not None else width[swap]
 
     def cols(blocks: str) -> int:
         return sum(width[key] for key in blocks)
 
-    def net(d_in: int, hidden: tuple[int, ...], d_out: int) -> _Net:
-        return _Net(MLPSpec(d_in, hidden, d_out), int(rng.integers(2**63)), cfg)
+    def net(d_in: int, hidden: tuple[int, ...], d_out: int, passes: int) -> _Net:
+        return _Net(MLPSpec(d_in, hidden, d_out), int(rng.integers(2**63)), cfg, passes)
 
-    critics = [net(cols(blocks), cfg.reg_hidden, 1) for blocks, _ in critic_table]
-    gen = None if cond is None else net(d_noise + cols(cond), cfg.gen_hidden, width[swap])
+    critics = [net(cols(blocks), cfg.reg_hidden, 1, 2) for blocks, _ in critic_table]
+    gen = None if cond is None else net(d_noise + cols(cond), cfg.gen_hidden, width[swap], 1)
     signs = [sign for _, sign in critic_table]
     names = ("first ", "second ") if len(critics) > 1 else ("",)
+    batch = np.empty((b, data.shape[1]))
+    noise = None if gen is None else np.empty((b, d_noise))
+    permuted = np.empty((b, width[swap])) if gen is None else None
 
-    def joint(batch: dict, blocks: str) -> np.ndarray:
-        return np.hstack([batch[key] for key in blocks])
+    def stack(parts: list, out: np.ndarray) -> np.ndarray:
+        return np.concatenate(parts, axis=1, out=out[: parts[0].shape[0]])
 
-    def product(batch: dict, swapped: np.ndarray, blocks: str) -> np.ndarray:
-        return np.hstack([swapped if key == swap else batch[key] for key in blocks])
+    def joint(rows: np.ndarray, blocks: str, out: np.ndarray) -> np.ndarray:
+        return stack([rows[:, span[key]] for key in blocks], out)
 
-    def gen_input(batch: dict, rows: int) -> np.ndarray:
-        return np.hstack([rng.standard_normal((rows, d_noise))] + [batch[key] for key in cond])
+    def product(rows: np.ndarray, swapped: np.ndarray, blocks: str, out: np.ndarray):
+        return stack([swapped if key == swap else rows[:, span[key]] for key in blocks], out)
 
-    def draw_swapped(batch: dict, rows: int) -> np.ndarray:
+    def gen_input(pick: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return stack([pick] + [rows[:, span[key]] for key in cond], gen.inputs[0])
+
+    def draw(count: int, out: np.ndarray | None) -> np.ndarray:
+        """Fresh randomness for ``count`` product rows: a permutation of
+        the rows without a generator, else noise written into ``out``."""
+        return rng.permutation(count) if gen is None else rng.standard_normal(out=out)
+
+    def swapped_block(rows: np.ndarray, pick: np.ndarray, source: np.ndarray) -> np.ndarray:
+        """The block swapped into the product sample of ``rows``: the rows
+        ``pick`` of ``source``'s swapped block, or the generator's output
+        on the noise ``pick`` and ``rows``' conditioning blocks."""
         if gen is None:
-            return batch[swap][rng.permutation(rows)]
-        return mlp_forward(gen.params, gen_input(batch, rows))
+            out = permuted[: len(pick)]
+            return np.take(source[:, span[swap]], pick, axis=0, out=out, mode="clip")
+        return mlp_forward(gen.params, gen_input(pick, rows), buffers=gen.buffers[0])
 
     sched = cfg.schedule()
     trace = [] if cfg.record_trace else None
@@ -361,22 +396,25 @@ def _train_run(
     for step in range(last):
         lr = lr_at(step, sched)
         for _ in range(cfg.reg_training_ratio if gen is not None else 1):
-            idx = rng.permutation(n)[:b]
-            batch = {key: block[idx] for key, block in full.items()}
-            swapped = draw_swapped(batch, b)
+            rows = np.take(data, rng.permutation(n)[:b], axis=0, out=batch, mode="clip")
+            swapped = swapped_block(rows, draw(b, noise), rows)
             for i, (critic, (blocks, _)) in enumerate(zip(critics, critic_table)):
                 label = "critic loss" if gen is None else f"{names[i]}regression loss"
-                joint_in, prod_in = joint(batch, blocks), product(batch, swapped, blocks)
+                joint_in = joint(rows, blocks, critic.inputs[0])
+                prod_in = product(rows, swapped, blocks, critic.inputs[1])
                 losses[i], hits = _critic_step(
                     critic, joint_in, prod_in, gen is None, label, lr, step
                 )
                 clamp_hits += hits
 
         if gen is not None:
-            swapped, cache_g = mlp_forward_cached(gen.params, gen_input(batch, b))
+            gen_buf = gen.buffers[0]
+            gen_in = gen_input(draw(b, noise), rows)
+            swapped, cache_g = mlp_forward_cached(gen.params, gen_in, buffers=gen_buf)
             scored = []
             for i, (critic, (blocks, _)) in enumerate(zip(critics, critic_table)):
-                s, cache = mlp_forward_cached(critic.params, product(batch, swapped, blocks))
+                prod_in = product(rows, swapped, blocks, critic.inputs[1])
+                s, cache = mlp_forward_cached(critic.params, prod_in, buffers=critic.buffers[1])
                 scored.append((_finite(s, f"{names[i]}product scores", step), cache))
             l_gen = _total([-sign * log_mean_exp(s) for sign, (s, _) in zip(signs, scored)])
             _finite(l_gen, "generator loss", step)
@@ -384,24 +422,43 @@ def _train_run(
             for critic, (blocks, sign), (s, cache) in zip(critics, critic_table, scored):
                 d_scores = -sign * softmax_weights(s.ravel())[:, None]
                 start = cols(blocks[: blocks.index(swap)])
-                d_input = mlp_backward_cached(critic.params, cache, d_scores).inputs
+                d_input = mlp_backward_cached(
+                    critic.params, cache, d_scores, param_grads=False, buffers=critic.buffers[1]
+                ).inputs
                 d_swapped.append(d_input[:, start : start + width[swap]])
             d_gen = _total(d_swapped)
-            gen.step(mlp_backward_cached(gen.params, cache_g, d_gen, input_grad=False), lr)
+            gen.step(
+                mlp_backward_cached(gen.params, cache_g, d_gen, input_grad=False, buffers=gen_buf),
+                lr,
+            )
         if trace is not None:
             trace.append((step, _total(losses), l_gen))
 
-    joint_full = [
-        _finite(mlp_forward(critic.params, joint(full, blocks)).ravel(), "joint scores", last)
-        for critic, (blocks, _) in zip(critics, critic_table)
-    ]
+    starts = range(0, n, b)
+    joint_full = [np.empty(n) for _ in critics]
+    for start in starts:
+        rows = data[start : start + b]
+        for critic, (blocks, _), s in zip(critics, critic_table, joint_full):
+            joint_in = joint(rows, blocks, critic.inputs[0])
+            s_joint = mlp_forward(critic.params, joint_in, buffers=critic.buffers[0])
+            s[start : start + len(rows)] = s_joint.ravel()
+    for s in joint_full:
+        _finite(s, "joint scores", last)
     objective = fdiv_objective if gen is None else dv_objective
+    eval_noise = None if gen is None else np.empty((n, d_noise))
+    prod_full = [np.empty(n) for _ in critics]
     eval_values = []
     for _ in range(cfg.eval_passes):
-        swapped = draw_swapped(full, n)
+        picks = draw(n, eval_noise)
+        for start in starts:
+            rows = data[start : start + b]
+            swapped = swapped_block(rows, picks[start : start + len(rows)], data)
+            for critic, (blocks, _), s in zip(critics, critic_table, prod_full):
+                prod_in = product(rows, swapped, blocks, critic.inputs[1])
+                s_prod = mlp_forward(critic.params, prod_in, buffers=critic.buffers[1])
+                s[start : start + len(rows)] = s_prod.ravel()
         values = []
-        for critic, (blocks, sign), s_joint in zip(critics, critic_table, joint_full):
-            s_prod = mlp_forward(critic.params, product(full, swapped, blocks)).ravel()
+        for sign, s_joint, s_prod in zip(signs, joint_full, prod_full):
             _finite(s_prod, "product scores", last)
             values.append(sign * objective(ScorePair(s_joint, s_prod)))
         eval_values.append(_total(values))

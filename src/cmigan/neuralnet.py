@@ -7,14 +7,28 @@ reverse-mode derivatives of ``sum_i <upstream_i, output_i>``, which is
 what the adversarial training loop needs (the upstream vector carries
 the per-sample objective weights).
 
-The passes write each layer's bias add, ReLU and ReLU mask in place
-into the arrays they allocate, never into a caller's array. A forward
-cache holds only the layer inputs (the hidden ones post-ReLU), and the
-backward pass forms the input gradient only when asked for it.
+The passes write every layer output, ReLU mask, delta and gradient into
+the arrays of an :class:`MLPBuffers`, never into a caller's array. A
+training loop allocates one per network and batch size and reuses it on
+every step and on every row block of an evaluation; the public passes
+called without one allocate one for that call. A forward cache holds
+only the layer inputs (the hidden ones post-ReLU, in the buffers' output
+arrays), so it is valid only until the next forward pass through the
+same buffers. The backward pass forms the input gradient and the
+parameter gradients only when asked for them, and RMSProp updates
+parameters and state in place (:func:`rmsprop_update`).
+
+BLAS computes each row of a matrix product the same way whatever the
+row count, with one exception: numpy sends a one-row product through
+gemv instead of gemm, which can round the last bit differently. A
+one-row block (a row-blocked pass whose last block holds a single row)
+can therefore differ in the last bit from the same row in a larger
+block.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -90,6 +104,38 @@ class MLPGrads:
     inputs: np.ndarray | None = None
 
 
+class MLPBuffers:
+    """Arrays the passes of one network write into, for batches of up to
+    ``rows`` rows.
+
+    ``outputs[i]`` holds layer ``i``'s output, ``masks[i]`` the ReLU mask
+    of hidden layer ``i``, ``deltas[i]`` the gradient with respect to
+    layer ``i``'s input and ``weights``/``biases`` the parameter
+    gradients. A batch of ``m <= rows`` rows uses the first ``m`` rows of
+    each array. A forward pass overwrites ``outputs``, so its cache is
+    valid only until the next forward pass through the same buffers; a
+    backward pass overwrites the rest.
+    """
+
+    def __init__(self, spec: MLPSpec, rows: int):
+        dims = spec.layer_dims()
+        self.rows = int(rows)
+        self.outputs = [np.empty((self.rows, d)) for d in dims[1:]]
+        self.masks = [np.empty((self.rows, d), dtype=bool) for d in dims[1:-1]]
+        self.deltas = [np.empty((self.rows, d)) for d in dims[:-1]]
+        self.weights = [np.empty((a, b)) for a, b in zip(dims[:-1], dims[1:])]
+        self.biases = [np.empty(d) for d in dims[1:]]
+
+
+def _buffers_for(params: MLPParams, rows: int, buffers: MLPBuffers | None) -> MLPBuffers:
+    """``buffers`` when they hold ``rows`` rows; fresh ones for one call when none are given."""
+    if buffers is None:
+        return MLPBuffers(params.spec, rows)
+    if rows > buffers.rows:
+        raise ValueError(f"batch of {rows} rows exceeds the buffers' {buffers.rows}")
+    return buffers
+
+
 def mlp_init(spec: MLPSpec, seed: int) -> MLPParams:
     """Seeded uniform initialization.
 
@@ -118,27 +164,36 @@ def _check_batch(params: MLPParams, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def mlp_forward(params: MLPParams, batch: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a batch, returning ``(n, output_dim)`` scores."""
-    return mlp_forward_cached(params, batch)[0]
+def mlp_forward(
+    params: MLPParams, batch: np.ndarray, *, buffers: MLPBuffers | None = None
+) -> np.ndarray:
+    """Evaluate the network on a batch, returning ``(n, output_dim)`` scores.
+
+    The scores are a view into ``buffers`` (fresh ones when not given).
+    """
+    return mlp_forward_cached(params, batch, buffers=buffers)[0]
 
 
-def mlp_forward_cached(params: MLPParams, batch: np.ndarray):
+def mlp_forward_cached(params: MLPParams, batch: np.ndarray, *, buffers: MLPBuffers | None = None):
     """Like :func:`mlp_forward` but also returns the activation cache: the
     input of every layer (the batch, then each hidden layer's post-ReLU
     activations).
 
-    Each layer's output is a fresh matmul result that the bias add and the
-    ReLU then overwrite in place; the caller's ``batch`` is never written.
-    The cache feeds :func:`mlp_backward_cached`, which saves the training
-    loops one redundant forward pass per update.
+    Each layer's matmul writes into its output array in ``buffers``, and
+    the bias add and the ReLU then overwrite it in place; the caller's
+    ``batch`` is never written. The cache feeds
+    :func:`mlp_backward_cached`, which saves the training loops one
+    redundant forward pass per update, and is valid until the next
+    forward pass through the same buffers.
     """
     batch = _check_batch(params, batch)
+    rows = batch.shape[0]
+    buffers = _buffers_for(params, rows, buffers)
     layer_inputs = [batch]
     h = batch
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w
+        h = np.matmul(h, w, out=buffers.outputs[i][:rows])
         h += b
         if i < last:
             np.maximum(h, 0.0, out=h)
@@ -147,7 +202,13 @@ def mlp_forward_cached(params: MLPParams, batch: np.ndarray):
 
 
 def mlp_backward_cached(
-    params: MLPParams, cache, upstream_grad: np.ndarray, *, input_grad: bool = True
+    params: MLPParams,
+    cache,
+    upstream_grad: np.ndarray,
+    *,
+    input_grad: bool = True,
+    param_grads: bool = True,
+    buffers: MLPBuffers | None = None,
 ) -> MLPGrads:
     """Backward pass reusing the cache from :func:`mlp_forward_cached`.
 
@@ -155,27 +216,35 @@ def mlp_backward_cached(
     output (``> 0`` exactly where the pre-activation is) and applied in
     place to the propagated delta. With ``input_grad=False`` the pass
     stops before the input layer's ``delta @ W0.T`` and returns
-    ``inputs=None``, for callers that only update the parameters.
+    ``inputs=None``, for callers that only update the parameters; with
+    ``param_grads=False`` it forms no weight or bias gradient and
+    returns empty lists, for callers that only chain the input gradient
+    into another network. The gradients are views into ``buffers``
+    (fresh ones when not given), valid until its next backward pass.
     """
     layer_inputs = cache
     upstream = np.asarray(upstream_grad, dtype=np.float64)
-    out_shape = (layer_inputs[0].shape[0], params.spec.output_dim)
+    rows = layer_inputs[0].shape[0]
+    out_shape = (rows, params.spec.output_dim)
     if upstream.shape != out_shape:
         raise ValueError(
             f"upstream gradient shape {upstream.shape} does not match output {out_shape}"
         )
+    buffers = _buffers_for(params, rows, buffers)
     n_layers = len(params.weights)
-    g_w: list[np.ndarray] = [None] * n_layers
-    g_b: list[np.ndarray] = [None] * n_layers
+    g_w = buffers.weights if param_grads else []
+    g_b = buffers.biases if param_grads else []
     delta = upstream
     for i in range(n_layers - 1, -1, -1):
-        g_w[i] = layer_inputs[i].T @ delta
-        g_b[i] = delta.sum(axis=0)
+        if param_grads:
+            np.matmul(layer_inputs[i].T, delta, out=g_w[i])
+            np.sum(delta, axis=0, out=g_b[i])
         if i == 0 and not input_grad:
             return MLPGrads(g_w, g_b)
-        delta = delta @ params.weights[i].T
+        delta = np.matmul(delta, params.weights[i].T, out=buffers.deltas[i][:rows])
         if i > 0:
-            np.multiply(delta, layer_inputs[i] > 0.0, out=delta)
+            mask = np.greater(layer_inputs[i], 0.0, out=buffers.masks[i - 1][:rows])
+            np.multiply(delta, mask, out=delta)
     return MLPGrads(g_w, g_b, delta)
 
 
@@ -196,24 +265,28 @@ def mlp_backward(params: MLPParams, batch: np.ndarray, upstream_grad: np.ndarray
         Weight/bias gradients shaped like ``params`` plus the gradient
         with respect to ``batch``.
     """
-    _, cache = mlp_forward_cached(params, batch)
-    return mlp_backward_cached(params, cache, upstream_grad)
+    buffers = MLPBuffers(params.spec, np.shape(batch)[0])
+    _, cache = mlp_forward_cached(params, batch, buffers=buffers)
+    return mlp_backward_cached(params, cache, upstream_grad, buffers=buffers)
 
 
-def add_grads(a: MLPGrads, b: MLPGrads) -> MLPGrads:
+def add_grads(a: MLPGrads, b: MLPGrads, *, out: MLPGrads | None = None) -> MLPGrads:
     """Sum two gradient bundles (e.g. joint-batch and product-batch terms).
 
-    The input gradients are summed when both are present with one shape;
-    otherwise the result keeps ``a.inputs`` (``None`` when ``a`` has none).
+    The weight and bias sums go into ``out``'s arrays when it is given (it
+    may be ``a``), else into fresh ones. The input gradients are summed
+    when both are present with one shape; otherwise the result keeps
+    ``a.inputs`` (``None`` when ``a`` has none).
     """
+    if out is None:
+        out = MLPGrads([np.empty_like(g) for g in a.weights], [np.empty_like(g) for g in a.biases])
+    for ga, gb, go in zip(a.weights + a.biases, b.weights + b.biases, out.weights + out.biases):
+        np.add(ga, gb, out=go)
     inputs = a.inputs
     if inputs is not None and b.inputs is not None and inputs.shape == b.inputs.shape:
         inputs = inputs + b.inputs
-    return MLPGrads(
-        [ga + gb for ga, gb in zip(a.weights, b.weights)],
-        [ga + gb for ga, gb in zip(a.biases, b.biases)],
-        inputs,
-    )
+    out.inputs = inputs
+    return out
 
 
 @dataclass
@@ -235,13 +308,12 @@ def rmsprop_init(params: MLPParams, rho: float = 0.9, eps: float = 1e-8) -> RMSP
     )
 
 
-def rmsprop_step(
-    params: MLPParams, grads: MLPGrads, state: RMSPropState, lr: float
-) -> tuple[MLPParams, RMSPropState]:
-    """One RMSProp update.
+def rmsprop_update(params: MLPParams, grads: MLPGrads, state: RMSPropState, lr: float):
+    """One RMSProp update in place.
 
-    ``a <- rho*a + (1-rho)*g^2`` then ``p <- p - lr*g/(sqrt(a)+eps)``.
-    Pure: returns fresh (params, state) and never mutates the inputs.
+    ``a <- rho*a + (1-rho)*g^2`` then ``p <- p - lr*g/(sqrt(a)+eps)``,
+    written into ``state``'s and ``params``' arrays; ``grads`` is only
+    read.
 
     Raises
     ------
@@ -251,21 +323,36 @@ def rmsprop_step(
     if lr <= 0 or not math.isfinite(lr):
         raise ValueError(f"learning rate must be positive and finite, got {lr}")
     rho, eps = state.rho, state.eps
-    new_w, new_b, new_sw, new_sb = [], [], [], []
-    for w, gw, sw in zip(params.weights, grads.weights, state.sq_weights):
-        acc = rho * sw + (1.0 - rho) * gw * gw
-        new_sw.append(acc)
-        new_w.append(w - lr * gw / (np.sqrt(acc) + eps))
-    for b, gb, sb in zip(params.biases, grads.biases, state.sq_biases):
-        acc = rho * sb + (1.0 - rho) * gb * gb
-        new_sb.append(acc)
-        new_b.append(b - lr * gb / (np.sqrt(acc) + eps))
-    out = MLPParams(params.spec, new_w, new_b)
-    if not all(np.isfinite(w).all() for w in new_w) or not all(
-        np.isfinite(b).all() for b in new_b
-    ):
+    ps = params.weights + params.biases
+    for p, g, acc in zip(ps, grads.weights + grads.biases, state.sq_weights + state.sq_biases):
+        t = np.multiply(g, 1.0 - rho)
+        t *= g
+        acc *= rho
+        acc += t
+        np.sqrt(acc, out=t)
+        t += eps
+        step = np.multiply(g, lr)
+        step /= t
+        p -= step
+    if not all(np.isfinite(p).all() for p in ps):
         raise NumericalError("RMSProp update produced non-finite parameters")
-    return out, RMSPropState(new_sw, new_sb, rho=rho, eps=eps)
+
+
+def rmsprop_step(
+    params: MLPParams, grads: MLPGrads, state: RMSPropState, lr: float
+) -> tuple[MLPParams, RMSPropState]:
+    """One RMSProp update, pure: :func:`rmsprop_update` on copies of
+    ``params`` and ``state``, which it returns; the inputs are never
+    mutated.
+
+    Raises
+    ------
+    NumericalError
+        If any updated parameter is non-finite.
+    """
+    params, state = copy.deepcopy(params), copy.deepcopy(state)
+    rmsprop_update(params, grads, state, lr)
+    return params, state
 
 
 @dataclass(frozen=True)

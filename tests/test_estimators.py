@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,25 @@ class TestMechanics:
         diag = rep.diagnostics["runs"][0]
         assert "last_batch_estimate" in diag
         assert np.isfinite(diag["last_batch_estimate"])
+
+    def test_peak_memory_grows_with_batch_not_with_n(self):
+        # the evaluation runs the n rows in batch-sized blocks through the
+        # run's buffers, so only the data, the eval noise and the per-row
+        # scores grow with n; all-n activations of the 256-wide generator
+        # layer alone would add 2 KB a row
+        cfg = dataclasses.replace(
+            TINY, gen_hidden=(256, 64), batch_size=64, training_steps=5, runs=1
+        )
+        peaks = {}
+        for n in (1024, 8192):
+            samples = _toy_cmi_samples(n=n)
+            tracemalloc.start()
+            try:
+                cmi_gan_estimate(samples, cfg)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[8192] - peaks[1024]) / (8192 - 1024) <= 256
 
     def test_parallel_jobs_match_serial(self):
         s = _toy_cmi_samples()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cmigan.neuralnet import (
+    MLPBuffers,
     MLPGrads,
     MLPParams,
     MLPSpec,
@@ -19,6 +20,7 @@ from cmigan.neuralnet import (
     mlp_init,
     rmsprop_init,
     rmsprop_step,
+    rmsprop_update,
 )
 
 
@@ -202,6 +204,42 @@ def test_backward_without_input_grad_matches_full_backward():
             assert a.tobytes() == b.tobytes()
 
 
+def test_backward_input_grad_only_matches_full_backward():
+    spec = MLPSpec(3, (6, 4), 2)
+    params = mlp_init(spec, seed=5)
+    rng = np.random.default_rng(6)
+    batch = rng.normal(size=(9, 3))
+    upstream = rng.normal(size=(9, 2))
+    for p, x, u in ((params, batch, upstream), _signed_zero_net()):
+        _, cache = mlp_forward_cached(p, x)
+        full = mlp_backward_cached(p, cache, u)
+        only = mlp_backward_cached(p, cache, u, param_grads=False)
+        assert only.weights == [] and only.biases == []
+        assert only.inputs.tobytes() == full.inputs.tobytes()
+
+
+def test_reused_buffers_match_fresh_passes():
+    # one set of buffers serves batches of any row count up to its size;
+    # each pass matches a call with buffers of its own
+    spec = MLPSpec(3, (6, 4), 2)
+    params = mlp_init(spec, seed=7)
+    rng = np.random.default_rng(8)
+    buffers = MLPBuffers(spec, 16)
+    for rows in (16, 5, 16, 2):
+        batch = rng.normal(size=(rows, 3))
+        upstream = rng.normal(size=(rows, 2))
+        out, cache = mlp_forward_cached(params, batch, buffers=buffers)
+        assert np.shares_memory(out, buffers.outputs[-1])
+        assert out.tobytes() == mlp_forward(params, batch).tobytes()
+        grads = mlp_backward_cached(params, cache, upstream, buffers=buffers)
+        fresh = mlp_backward(params, batch, upstream)
+        for a, b in zip(grads.weights + grads.biases + [grads.inputs],
+                        fresh.weights + fresh.biases + [fresh.inputs]):
+            assert a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError):
+        mlp_forward(params, np.zeros((17, 3)), buffers=buffers)
+
+
 def test_passes_leave_caller_arrays_unchanged():
     params, batch, upstream = _signed_zero_net()
     batch_bytes, upstream_bytes = batch.tobytes(), upstream.tobytes()
@@ -267,13 +305,40 @@ def test_rmsprop_is_pure_and_replayable():
         assert np.array_equal(wa, wb)
 
 
+def test_rmsprop_update_in_place_matches_chained_pure_steps():
+    spec = MLPSpec(3, (5, 4), 2)
+    rng = np.random.default_rng(11)
+    params = mlp_init(spec, seed=2)
+    state = rmsprop_init(params)
+    pure_params, pure_state = params, state
+    params = MLPParams(spec, [w.copy() for w in params.weights], [b.copy() for b in params.biases])
+    state = rmsprop_init(params)
+    weight_arrays = params.weights + params.biases
+    for k in range(7):
+        grads = mlp_backward(pure_params, rng.normal(size=(6, 3)), rng.normal(size=(6, 2)))
+        lr = 10.0 ** -(k % 4)
+        pure_params, pure_state = rmsprop_step(pure_params, grads, pure_state, lr)
+        rmsprop_update(params, grads, state, lr)
+    # the in-place update wrote into the arrays it was given
+    assert all(a is b for a, b in zip(weight_arrays, params.weights + params.biases))
+    pairs = zip(
+        params.weights + params.biases + state.sq_weights + state.sq_biases,
+        pure_params.weights + pure_params.biases + pure_state.sq_weights + pure_state.sq_biases,
+    )
+    for a, b in pairs:
+        assert a.tobytes() == b.tobytes()
+
+
 def test_rmsprop_rejects_nonfinite_update():
     spec = MLPSpec(1, (), 1)
     params = MLPParams(spec, [np.array([[1.0]])], [np.array([0.0])])
     grads = MLPGrads([np.array([[np.inf]])], [np.array([0.0])], np.zeros((1, 1)))
     state = rmsprop_init(params)
-    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+    message = "RMSProp update produced non-finite parameters"
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=message):
         rmsprop_step(params, grads, state, lr=0.1)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=message):
+        rmsprop_update(params, grads, state, lr=0.1)
 
 
 def test_rmsprop_rejects_bad_lr():
