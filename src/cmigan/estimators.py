@@ -337,7 +337,10 @@ def _train_run(
     batch, the noise or permuted block, each network's inputs and
     buffers. The evaluation runs the n rows through the same arrays in
     blocks of ``b`` rows, so besides the data only the eval noise or
-    permutation and the per-row scores grow with n.
+    permutation and the per-row scores grow with n. A row's score can
+    differ in the last bit from the one a single whole-n pass would give,
+    since BLAS rounds some row counts differently (a one-row last block
+    goes through gemv; see :mod:`cmigan.neuralnet`).
     """
     swap, critic_table, cond = _GAMES[kind]
     rng = np.random.default_rng(seed)
