@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import EstimatorConfig, estimate
+from .estimators import EstimatorConfig, _parallel_map, estimate
 from .knn import KSGConfig
 
 DEFAULT_THRESHOLD = 0.01  # nats
@@ -109,6 +109,17 @@ class CITBenchReport:
         }
 
 
+def _score(samples, estimator: str, cfg: EstimatorConfig, ksg_config: KSGConfig | None):
+    """(score, None) for one dataset, or (None, error) when its estimate fails."""
+    try:
+        rep = estimate(samples, estimator, cfg, jobs=1, ksg_config=ksg_config)
+        if not rep.per_run or not np.isfinite(rep.mean):
+            raise RuntimeError("all runs failed")
+        return rep.mean, None
+    except RuntimeError as exc:
+        return None, str(exc)
+
+
 def run_cit_benchmark(
     datasets,
     estimator: str,
@@ -130,6 +141,10 @@ def run_cit_benchmark(
         same config, so results are deterministic given its seed.
     ids : sequence of str, optional
         Names for report entries; defaults to ds000, ds001, ...
+    jobs : int
+        Worker processes, one BLAS thread each, that score whole
+        datasets; the report does not depend on it. ``ksg`` always runs
+        in process.
 
     Datasets whose estimate fails (all runs diverged) are reported,
     marked excluded, and left out of the AuROC.
@@ -140,20 +155,19 @@ def run_cit_benchmark(
     if len(ids) != len(datasets):
         raise ValueError("ids and datasets must have the same length")
 
-    report = CITBenchReport(estimator=estimator, threshold=threshold)
-    scores, labels = [], []
-    for name, (samples, label) in zip(ids, datasets):
+    for name, (_, label) in zip(ids, datasets):
         if label not in ("CI", "CD"):
             raise ValueError(f"label for {name} must be 'CI' or 'CD', got {label!r}")
-        try:
-            rep = estimate(samples, estimator, cfg, jobs=jobs, ksg_config=ksg_config)
-            if not rep.per_run or not np.isfinite(rep.mean):
-                raise RuntimeError("all runs failed")
-            score = rep.mean
-        except RuntimeError as exc:
-            report.entries.append(
-                CITEntry(name, label, score=None, decision=None, failed=True, error=str(exc))
-            )
+    # KSG's tree queries already use every core, so its datasets stay here
+    workers = 1 if estimator == "ksg" else jobs
+    tasks = [(samples, estimator, cfg, ksg_config) for samples, _ in datasets]
+    outcomes = _parallel_map(_score, tasks, workers)
+
+    report = CITBenchReport(estimator=estimator, threshold=threshold)
+    scores, labels = [], []
+    for name, (_, label), (score, error) in zip(ids, datasets, outcomes):
+        if error is not None:
+            report.entries.append(CITEntry(name, label, None, None, failed=True, error=error))
             continue
         report.entries.append(CITEntry(name, label, score=score, decision=ci_decide(score, threshold)))
         scores.append(score)

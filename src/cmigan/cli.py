@@ -69,6 +69,12 @@ def _int_list(text: str) -> list[int]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _jobs(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _cols(text: str | None) -> list:
     if text is None:
         return []
@@ -148,18 +154,9 @@ def _load_dataset(spec: dict):
         if spec.get("normalize", "none") != "none":
             # an older report may ask for the removed load-time z-scoring
             raise UsageError(f"dataset normalize={spec['normalize']!r} is no longer supported")
-        if spec.get("dims") is not None:
-            dx, dy, dz = spec["dims"]
-            with open(spec["path"], encoding="utf-8") as fh:
-                reader = csv.reader(fh, delimiter=";" if spec["semicolon"] else ",")
-                header = next(reader, None)
-            if header is None:
-                raise DataError(f"{spec['path']} is empty")
-            if dx + dy + dz != len(header):
-                raise DataError(
-                    f"--dims {dx},{dy},{dz} does not cover the {len(header)} CSV columns"
-                )
-            mapping = ColumnMapping.from_dims((dx, dy, dz), spec.get("shuffle_seed"))
+        by_dims = spec.get("dims") is not None
+        if by_dims:
+            mapping = ColumnMapping.from_dims(spec["dims"], spec.get("shuffle_seed"))
         else:
             m = spec["mapping"]
             mapping = ColumnMapping(
@@ -168,7 +165,7 @@ def _load_dataset(spec: dict):
                 z_cols=m.get("z_cols", []),
                 shuffle_seed=spec.get("shuffle_seed"),
             )
-        loaded = load_csv(spec["path"], mapping, semicolon=spec["semicolon"])
+        loaded = load_csv(spec["path"], mapping, semicolon=spec["semicolon"], whole_header=by_dims)
         log.info(
             "loaded %s: %d rows kept, %d dropped", spec["path"], loaded.kept_rows, loaded.dropped_rows
         )
@@ -266,6 +263,8 @@ def cmd_estimate(args) -> int:
     except KeyError as exc:
         # only a hand-edited replay config can lack a dataset field
         raise UsageError(f"dataset spec lacks {exc}") from None
+    except TypeError as exc:
+        raise UsageError(f"ill-typed dataset spec: {exc}") from None
 
     start = time.monotonic()
     report = estimate(samples, estimator, cfg, jobs=args.jobs, ksg_config=ksg_cfg)
@@ -396,7 +395,10 @@ def _add_estimator_flags(p: argparse.ArgumentParser):
                    help="start from the conditional-independence-testing hyperparameters")
     p.add_argument("--no-standardize", action="store_true", help="skip per-column z-scoring")
     p.add_argument("--k", type=int, default=5, help="kNN order for the ksg estimator")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes for network runs")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    p.add_argument("--jobs", type=_jobs, default=cpus,
+                   help="worker processes, one BLAS thread each, over network runs (estimate) "
+                        "or datasets (citest, bench); default: the usable CPUs, %(default)s")
     p.add_argument("--trace", default=None, metavar="CSV", help="write per-step losses here")
     p.add_argument("--out", "-o", default=None, metavar="JSON", help="write the report here")
 

@@ -265,41 +265,3 @@ def true_cmi(params: ModelParams) -> float | None:
         return None
     raise ValueError(f"unknown model {m!r}")
 
-
-def linear1_cmi_quadrature(n_gauss: int = 40, n_z: int = 24, n_y: int = 80) -> float:
-    """Numerical integration of the linear1 CMI integrand (dz = 1).
-
-    Integrates P(x,y,z) * log[P(y|x,z) / P(y|z)] with Gauss-Hermite
-    nodes in x, Gauss-Legendre in z over (-0.5, 0.5), and Gauss-Legendre
-    in y over the +-8 sigma window around the conditional mean. This is
-    a genuinely numerical route to the same quantity as the closed form
-    0.5*ln(101), kept as a cross-check on the model algebra.
-    """
-    var_eps = 0.01
-    sd_eps = math.sqrt(var_eps)
-    var_marg = 1.0 + var_eps  # Y|Z integrates X out: N(z, 1 + var_eps)
-
-    gh_x, gh_w = np.polynomial.hermite.hermgauss(n_gauss)
-    x_nodes = math.sqrt(2.0) * gh_x
-    x_weights = gh_w / math.sqrt(math.pi)
-
-    gl_z, gl_wz = np.polynomial.legendre.leggauss(n_z)
-    z_nodes = 0.5 * gl_z  # map [-1,1] -> [-0.5, 0.5]
-    z_weights = 0.5 * gl_wz  # times the uniform density 1 on that window
-
-    gl_y, gl_wy = np.polynomial.legendre.leggauss(n_y)
-
-    def log_normal(v, mean, var):
-        return -0.5 * math.log(2.0 * math.pi * var) - (v - mean) ** 2 / (2.0 * var)
-
-    total = 0.0
-    half_window = 8.0 * sd_eps
-    for z, wz in zip(z_nodes, z_weights):
-        for x, wx in zip(x_nodes, x_weights):
-            mean = x + z
-            y = mean + half_window * gl_y
-            wy = half_window * gl_wy
-            log_cond = log_normal(y, mean, var_eps)
-            log_marg = log_normal(y, z, var_marg)
-            total += wz * wx * np.sum(wy * np.exp(log_cond) * (log_cond - log_marg))
-    return float(total)

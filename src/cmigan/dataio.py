@@ -97,10 +97,12 @@ def _parse_cell(text: str, decimal_comma: bool) -> float | None:
     return value
 
 
-def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False) -> LoadedCsv:
+def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False, whole_header: bool = False) -> LoadedCsv:
     """Read a header-ed CSV into a SampleSet with columns [x|y|z].
 
     ``semicolon=True`` switches to ';' separators with ',' decimals.
+    ``whole_header=True`` requires the mapping, a ``--dims`` split, to
+    name as many columns as the header has.
     Rows with any missing mapped cell (empty, non-numeric, the -200
     sentinel, or non-finite) are dropped and counted.
     """
@@ -117,6 +119,9 @@ def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False) -> Load
             except StopIteration:
                 raise DataError(f"{path} is empty; a header row is required") from None
             header = [h.strip() for h in header]
+            dims = (len(mapping.x_cols), len(mapping.y_cols), len(mapping.z_cols))
+            if whole_header and sum(dims) != len(header):
+                raise DataError("--dims {},{},{} does not cover the {} CSV columns".format(*dims, len(header)))
             idx = [
                 _resolve(cols, header, path)
                 for cols in (mapping.x_cols, mapping.y_cols, mapping.z_cols)
@@ -143,7 +148,6 @@ def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False) -> Load
     if mapping.shuffle_seed is not None:
         perm = np.random.default_rng(mapping.shuffle_seed).permutation(len(data))
         data = data[perm]
-    dims = (len(idx[0]), len(idx[1]), len(idx[2]))
     return LoadedCsv(
         samples=SampleSet(data, dims),
         dropped_rows=source_rows - len(rows),

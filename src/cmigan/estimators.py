@@ -27,6 +27,7 @@ critic batch's unswapped blocks (x and z for cmigan) with fresh noise.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import logging
 from concurrent.futures import ProcessPoolExecutor
@@ -479,14 +480,46 @@ def _train_run(
     return estimate, diag
 
 
+def _blas_thread_setters() -> list:
+    """``set_num_threads`` of every OpenBLAS loaded in this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return []
+    names = [f"{p}_set_num_threads{s}" for s in ("64_", "") for p in ("scipy_openblas", "openblas")]
+    return [getattr(lib, name) for lib in libs for name in names if hasattr(lib, name)]
+
+
+def _one_blas_thread():
+    """Worker initializer: this process's BLAS runs on one thread."""
+    for setter in _blas_thread_setters():
+        setter(1)
+
+
+def _parallel_map(fn, tasks: list, jobs: int) -> list:
+    """``[fn(*t) for t in tasks]``, in task order, over ``min(jobs,
+    len(tasks))`` worker processes that each run one BLAS thread. With
+    one worker, or no OpenBLAS thread setter to call, it runs here:
+    workers keeping the default BLAS threads oversubscribe the cores."""
+    workers = min(jobs, len(tasks))
+    if workers <= 1 or not _blas_thread_setters():
+        return [fn(*t) for t in tasks]
+    with ProcessPoolExecutor(workers, initializer=_one_blas_thread) as pool:
+        return [f.result() for f in [pool.submit(fn, *t) for t in tasks]]
+
+
 def _single_run(kind: str, data, dims, cfg: EstimatorConfig, run_index: int):
     """Top-level per-run entry (picklable for process pools)."""
     seed = cfg.seed + run_index
     try:
         estimate, diag = _train_run(kind, data, dims, cfg, seed)
-        return run_index, estimate, diag, None
+        result = estimate, diag, None
     except NumericalError as exc:
-        return run_index, None, None, {"run": run_index, "seed": seed, "reason": str(exc)}
+        result = None, None, {"run": run_index, "seed": seed, "reason": str(exc)}
+    log.info("%s run %d/%d done", kind, run_index + 1, cfg.runs)
+    return result
 
 
 def _run_many(kind: str, s: SampleSet, cfg: EstimatorConfig, jobs: int) -> EstimateReport:
@@ -494,22 +527,10 @@ def _run_many(kind: str, s: SampleSet, cfg: EstimatorConfig, jobs: int) -> Estim
     if cfg.standardize:
         s = s.standardized()
     data = np.ascontiguousarray(s.data)
-
-    results = []
-    if jobs > 1 and cfg.runs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_single_run, kind, data, s.dims, cfg, r) for r in range(cfg.runs)
-            ]
-            results = [f.result() for f in futures]
-    else:
-        for r in range(cfg.runs):
-            results.append(_single_run(kind, data, s.dims, cfg, r))
-            log.info("%s run %d/%d done", kind, r + 1, cfg.runs)
-    results.sort(key=lambda t: t[0])
+    tasks = [(kind, data, s.dims, cfg, r) for r in range(cfg.runs)]
 
     per_run, run_diags, failures = [], [], []
-    for _, estimate, diag, failure in results:
+    for estimate, diag, failure in _parallel_map(_single_run, tasks, jobs):
         if failure is not None:
             failures.append(failure)
         else:
@@ -541,34 +562,30 @@ def _report(estimator: str, per_run: list[float], failures: list[dict], diagnost
 
 def cmi_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
     """Conditional MI via adversarial training. Requires dz >= 1."""
-    cfg = config or EstimatorConfig()
     if samples.dz < 1:
         raise ValueError("conditional estimation needs dz >= 1; use mi_gan_estimate for plain MI")
-    return _run_many("cmigan", samples, cfg, jobs)
+    return _run_many("cmigan", samples, config or EstimatorConfig(), jobs)
 
 
 def mi_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
     """Unconditional MI via the same loop with an empty conditioning block."""
-    cfg = config or EstimatorConfig()
     if samples.dz != 0:
         raise ValueError("mi_gan_estimate expects dz == 0")
-    return _run_many("migan", samples, cfg, jobs)
+    return _run_many("migan", samples, config or EstimatorConfig(), jobs)
 
 
 def mi_diff_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
     """CMI as a difference of two DV objectives sharing one X generator."""
-    cfg = config or EstimatorConfig()
     if samples.dz < 1:
         raise ValueError("the difference variant needs dz >= 1")
-    return _run_many("midiffgan", samples, cfg, jobs)
+    return _run_many("midiffgan", samples, config or EstimatorConfig(), jobs)
 
 
 def f_mine_mi_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
     """Unconditional MI from the permutation critic (f-divergence bound)."""
-    cfg = config or EstimatorConfig()
     if samples.dz != 0:
         raise ValueError("the permutation critic estimates unconditional MI (dz must be 0)")
-    return _run_many("fmine", samples, cfg, jobs)
+    return _run_many("fmine", samples, config or EstimatorConfig(), jobs)
 
 
 def mi_diff_cmi_estimate(

@@ -1,3 +1,5 @@
+import ctypes
+import dataclasses
 import os
 import subprocess
 import sys
@@ -19,7 +21,10 @@ from cmigan.citest import (
     run_cit_benchmark,
 )
 from cmigan.datagen import gen_cit
-from cmigan.estimators import EstimatorConfig
+from cmigan import estimators
+from cmigan.estimators import EstimatorConfig, _parallel_map
+
+from oracle_tools import hex_floats
 
 
 def test_import_does_not_load_scipy_stats():
@@ -198,3 +203,71 @@ class TestBenchmark:
         rep.entries.append(CITEntry("good", "CI", score=0.0, decision="CI"))
         rep.entries.append(CITEntry("bad", "CD", score=None, decision=None, failed=True))
         assert rep.excluded == ["bad"]
+
+
+def _blas_threads() -> list:
+    """The thread count of every OpenBLAS loaded in this process."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    names = [f"{p}_get_num_threads{s}" for s in ("64_", "") for p in ("scipy_openblas", "openblas")]
+    counts = []
+    for lib in map(ctypes.CDLL, paths):
+        getter = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+        if getter is not None:
+            counts.append(getter())
+    return counts
+
+
+# one CI dataset (seed 12) fails every run at lr 1e200; the others end
+# with dead ReLUs and a finite score
+_PARALLEL_CASES = {
+    "tiny": (TINY, [(False, 10), (False, 11), (True, 20), (True, 21)]),
+    "lr1e200": (
+        dataclasses.replace(TINY, initial_lr=1e200, runs=2),
+        [(False, 12), (False, 13), (True, 10), (True, 13)],
+    ),
+}
+
+
+def _parallel_suite(case: str):
+    cfg, seeds = _PARALLEL_CASES[case]
+    datasets = []
+    for dependent, seed in seeds:
+        s, _, label = gen_cit(200, 1, dependent, seed=seed)
+        datasets.append((s, label))
+    return datasets, cfg
+
+
+class TestParallel:
+    @pytest.mark.parametrize("case", sorted(_PARALLEL_CASES))
+    def test_parallel_equals_serial_bitwise(self, case):
+        datasets, cfg = _parallel_suite(case)
+        with np.errstate(all="ignore"):
+            serial = run_cit_benchmark(datasets, "cmigan", cfg, jobs=1)
+            parallel = run_cit_benchmark(datasets, "cmigan", cfg, jobs=2)
+        if case == "lr1e200":
+            assert serial.excluded == ["ds000"]
+            assert serial.entries[0].error == "all runs failed"
+        assert hex_floats(parallel.to_dict()) == hex_floats(serial.to_dict())
+
+    def test_workers_run_one_blas_thread_and_parent_keeps_its_own(self):
+        before = _blas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS loaded")
+        workers = _parallel_map(_blas_threads, [(), ()], 2)
+        assert workers == [[1] * len(before)] * 2
+        datasets, cfg = _parallel_suite("tiny")
+        run_cit_benchmark(datasets, "cmigan", cfg, jobs=2)
+        assert _blas_threads() == before
+
+    def test_no_blas_setter_runs_serially_bitwise(self, monkeypatch):
+        datasets, cfg = _parallel_suite("tiny")
+        serial = run_cit_benchmark(datasets, "cmigan", cfg, jobs=1)
+        monkeypatch.setattr(estimators, "_blas_thread_setters", lambda: [])
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(estimators, "ProcessPoolExecutor", no_pool)
+        fallback = run_cit_benchmark(datasets, "cmigan", cfg, jobs=2)
+        assert hex_floats(fallback.to_dict()) == hex_floats(serial.to_dict())

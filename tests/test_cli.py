@@ -174,9 +174,14 @@ class TestEstimate:
             "kind": "csv", "path": "never-written.csv", "dims": [1, 1, 1], "mapping": None,
             "semicolon": False, "shuffle_seed": None, "normalize": "zscore",
         }},
+        {"estimator": "ksg", "estimator_config": {}, "dataset": {
+            "kind": "csv", "path": "never-written.csv", "dims": ["1", "1", "1"], "mapping": None,
+            "semicolon": False, "shuffle_seed": None,
+        }},
     ], ids=[
         "missing-keys", "unknown-config-key", "non-object", "incomplete-dataset",
         "ill-typed-config-value", "ill-typed-k", "non-object-ksg", "zscore-normalize",
+        "ill-typed-dims",
     ])
     def test_malformed_replay_config_is_usage_error(self, tmp_path, capsys, doc):
         path = str(tmp_path / "bad.json")
@@ -331,6 +336,20 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
         assert "cmigan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--estimator", "ksg", "--model", "linear1", "--n", "50"],
+        ["citest", "--manifest", "none.json", "--estimator", "ksg"],
+    ], ids=["estimate", "citest"])
+    def test_bad_jobs_is_usage_error(self, capsys, command, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["-q", *command, "--jobs", jobs])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

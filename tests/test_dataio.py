@@ -109,6 +109,16 @@ def test_shuffle_seed_reproducible(tmp_path):
     assert np.array_equal(a.samples.data, plain.samples.data[perm])
 
 
+def test_whole_header_needs_dims_to_cover_every_column(tmp_path):
+    path = tmp_path / "three.csv"
+    path.write_text("a,b,c\n1,2,3\n")
+    mapping = ColumnMapping.from_dims((1, 1, 0))
+    assert load_csv(str(path), mapping).samples.dims == (1, 1, 0)
+    with pytest.raises(DataError, match="--dims 1,1,0 does not cover the 3 CSV columns"):
+        load_csv(str(path), mapping, whole_header=True)
+    assert load_csv(str(path), ColumnMapping.from_dims((1, 1, 1)), whole_header=True).kept_rows == 1
+
+
 def test_error_cases(tmp_path):
     with pytest.raises(DataError):
         load_csv(str(tmp_path / "nope.csv"), _mapping())

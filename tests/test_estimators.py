@@ -19,6 +19,8 @@ from cmigan.estimators import (
     mi_gan_estimate,
 )
 
+from oracle_tools import hex_floats as _pin
+
 TINY = EstimatorConfig(
     reg_hidden=(8, 4),
     gen_hidden=(8, 4),
@@ -379,17 +381,6 @@ _GOLDEN_CASES = {
 }
 
 
-def _pin(value):
-    """The report with every float replaced by its float.hex string."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {key: _pin(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_pin(v) for v in value]
-    return value
-
-
 def _golden_report(case: str) -> dict:
     est, overrides, jobs = _GOLDEN_CASES[case]
     samples = _toy_mi_samples() if est in ("migan", "fmine") else _toy_cmi_samples()
@@ -411,3 +402,11 @@ def test_golden_cases_are_all_pinned(golden):
 @pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
 def test_golden_reports_bitwise(golden, case):
     assert _golden_report(case) == golden[case]
+
+
+@pytest.mark.parametrize("est", _NETWORK_IDS)
+def test_parallel_equals_serial_bitwise(est):
+    samples = _toy_mi_samples() if est in ("migan", "fmine") else _toy_cmi_samples()
+    cfg = dataclasses.replace(TINY, record_trace=True, runs=3)
+    serial = _pin(estimate(samples, est, cfg, jobs=1).to_dict())
+    assert _pin(estimate(samples, est, cfg, jobs=2).to_dict()) == serial
