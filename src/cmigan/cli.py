@@ -39,7 +39,7 @@ from .dataio import (
 )
 from .estimators import ESTIMATOR_IDS, EstimatorConfig, estimate
 from .knn import KSGConfig
-from .neuralnet import NumericalError, gradient_check
+from .neuralnet import RMSPROP_EPS, RMSPROP_RHO, SCHEDULE_MODES, NumericalError, gradient_check
 
 log = logging.getLogger("cmigan")
 
@@ -182,14 +182,22 @@ def _write_json(path: str | None, doc: dict):
     print(text)
 
 
+def _labelled_runs(report_dict: dict) -> list:
+    """(label, diagnostics) of each run in a report: "0", "1", ..., or
+    "full/0", ..., "marginal/0", ... for midiff-fmine, which keeps the
+    runs of its two fmine terms apart."""
+    diag = report_dict["diagnostics"]
+    terms = [(f"{t}/", diag[t]) for t in ("full", "marginal")] if "full" in diag else [("", diag)]
+    return [(f"{pre}{i}", run) for pre, term in terms for i, run in enumerate(term.get("runs", []))]
+
+
 def _write_trace(path: str, report_dict: dict):
-    runs = report_dict["diagnostics"].get("runs", [])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "step", "reg_loss", "gen_loss"])
-        for run_idx, run in enumerate(runs):
+        for label, run in _labelled_runs(report_dict):
             for step, reg, gen in run.get("trace", []):
-                writer.writerow([run_idx, step, format(reg, ".17g"), format(gen, ".17g")])
+                writer.writerow([label, step, format(reg, ".17g"), format(gen, ".17g")])
     log.info("wrote %s", path)
 
 
@@ -229,8 +237,13 @@ def _replay_config(path: str) -> dict:
     for key in ("estimator_config", "dataset", "ksg"):
         if not isinstance(run_config.get(key, {}), dict):
             raise UsageError(f"{path}: run_config.{key} must be a JSON object")
+    config = run_config["estimator_config"]
+    # reports from before RMSProp's rho and eps became constants carry them
+    for key, value in (("rmsprop_rho", RMSPROP_RHO), ("rmsprop_eps", RMSPROP_EPS)):
+        if (given := config.pop(key, value)) != value:
+            raise UsageError(f"{path}: {key}={given!r} is no longer supported; it is {value}")
     known = {f.name for f in dataclasses.fields(EstimatorConfig)}
-    unknown = sorted(set(run_config["estimator_config"]) - known)
+    unknown = sorted(set(config) - known)
     if unknown:
         raise UsageError(f"{path}: unknown estimator_config keys {', '.join(unknown)}")
     return run_config
@@ -250,8 +263,6 @@ def cmd_estimate(args) -> int:
             "threshold": None,
         }
     estimator = run_config["estimator"]
-    if estimator not in ESTIMATOR_IDS:
-        raise UsageError(f"unknown estimator {estimator!r}")
     try:
         cfg = EstimatorConfig.from_dict(run_config["estimator_config"])
         ksg_cfg = KSGConfig(k=run_config.get("ksg", {}).get("k", 5))
@@ -280,7 +291,7 @@ def cmd_estimate(args) -> int:
     if args.trace is not None:
         _write_trace(args.trace, doc["report"])
     # traces are bulky and already in the CSV; keep the JSON lean
-    for run in doc["report"]["diagnostics"].get("runs", []):
+    for _, run in _labelled_runs(doc["report"]):
         run.pop("trace", None)
     _write_json(args.out, doc)
     if not report.per_run or not np.isfinite(report.mean):
@@ -390,7 +401,7 @@ def _add_estimator_flags(p: argparse.ArgumentParser):
                    default=None, help="steps per decay interval")
     p.add_argument("--lr-decay", dest="lr_decay_factor", metavar="LR_DECAY", type=float,
                    default=None, help="total decay factor")
-    p.add_argument("--lr-mode", choices=["total_decay", "per_interval"], default=None)
+    p.add_argument("--lr-mode", choices=SCHEDULE_MODES, default=None)
     p.add_argument("--cit-defaults", action="store_true",
                    help="start from the conditional-independence-testing hyperparameters")
     p.add_argument("--no-standardize", action="store_true", help="skip per-column z-scoring")
@@ -403,6 +414,18 @@ def _add_estimator_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", "-o", default=None, metavar="JSON", help="write the report here")
 
 
+def _add_model_flags(p: argparse.ArgumentParser, required: bool):
+    p.add_argument("--model", required=required, choices=MODEL_IDS, default=None,
+                   help="synthetic data model")
+    p.add_argument("--n", type=int, required=required, default=None, help="rows to generate")
+    p.add_argument("--dz", type=int, default=None, help="conditioning dimension (linear1/2, nonlinear, cit)")
+    p.add_argument("--d", type=int, default=None, help="per-block dimension (linear3, gauss)")
+    p.add_argument("--rho", type=float, default=None, help="pair correlation (gauss)")
+    dep = p.add_mutually_exclusive_group()
+    dep.add_argument("--dependent", dest="dependent", action="store_true", default=False)
+    dep.add_argument("--independent", dest="dependent", action="store_false")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmigan",
@@ -413,15 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datagen", help="generate a synthetic dataset with a JSON sidecar")
-    p.add_argument("--model", required=True, choices=MODEL_IDS)
-    p.add_argument("--n", type=int, required=True)
+    _add_model_flags(p, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dz", type=int, default=None, help="conditioning dimension (linear1/2, nonlinear, cit)")
-    p.add_argument("--d", type=int, default=None, help="per-block dimension (linear3, gauss)")
-    p.add_argument("--rho", type=float, default=None, help="pair correlation (gauss)")
-    dep = p.add_mutually_exclusive_group()
-    dep.add_argument("--dependent", dest="dependent", action="store_true", default=False)
-    dep.add_argument("--independent", dest="dependent", action="store_false")
     p.add_argument("--out", "-o", required=True, metavar="CSV")
     p.set_defaults(func=cmd_datagen)
 
@@ -435,14 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semicolon", action="store_true",
                    help="CSV uses ';' separators and ',' decimals")
     p.add_argument("--shuffle-seed", type=int, default=None, help="shuffle CSV rows with this seed")
-    p.add_argument("--model", choices=MODEL_IDS, default=None, help="generate input data inline")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--dz", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    dep = p.add_mutually_exclusive_group()
-    dep.add_argument("--dependent", dest="dependent", action="store_true", default=False)
-    dep.add_argument("--independent", dest="dependent", action="store_false")
+    _add_model_flags(p, required=False)
     p.add_argument("--data-seed", type=int, default=0, help="seed for inline generation")
     p.add_argument("--config", default=None, metavar="JSON",
                    help="replay the run configuration embedded in an earlier report")

@@ -22,7 +22,7 @@ without a generator), then one generator update that reuses the last
 critic batch's unswapped blocks (x and z for cmigan) with fresh noise.
 ``midiff-fmine`` composes two fmine estimates as
 ``I(X;(Y,Z)) - I(X;Z)``, and ``ksg`` is the kNN baseline;
-:func:`estimate` dispatches by id.
+:func:`estimate` checks the dz rule of an id and dispatches by it.
 """
 
 from __future__ import annotations
@@ -154,8 +154,6 @@ class EstimatorConfig:
     lr_interval_steps: int = 1000
     lr_decay_factor: float = 10.0
     lr_mode: str = "total_decay"
-    rmsprop_rho: float = 0.9
-    rmsprop_eps: float = 1e-8
     standardize: bool = True
     record_trace: bool = False
 
@@ -172,8 +170,7 @@ class EstimatorConfig:
             raise ValueError("eval_passes must be positive")
         if self.noise_dim is not None and self.noise_dim < 1:
             raise ValueError("noise_dim must be positive when given")
-        if self.lr_mode not in ("total_decay", "per_interval"):
-            raise ValueError("lr_mode must be 'total_decay' or 'per_interval'")
+        self.schedule()  # checks the learning-rate fields
 
     @classmethod
     def cit_defaults(cls, **overrides) -> "EstimatorConfig":
@@ -262,7 +259,7 @@ class _Net:
 
     def __init__(self, spec: MLPSpec, seed: int, cfg: EstimatorConfig, passes: int):
         self.params = mlp_init(spec, seed)
-        self.state = rmsprop_init(self.params, rho=cfg.rmsprop_rho, eps=cfg.rmsprop_eps)
+        self.state = rmsprop_init(self.params)
         self.inputs = [np.empty((cfg.batch_size, spec.input_dim)) for _ in range(passes)]
         self.buffers = [MLPBuffers(spec, cfg.batch_size) for _ in range(passes)]
 
@@ -280,6 +277,15 @@ _GAMES = {
     "midiffgan": ("x", (("xyz", 1), ("xz", -1)), ""),
     "fmine": ("y", (("xyz", 1),), None),
 }
+
+# estimator id -> whether its data must have a conditioning block: True
+# (dz >= 1), False (dz == 0) or None (either; ksg picks its form from dz)
+_NEEDS_Z = {
+    "cmigan": True, "migan": False, "midiffgan": True, "fmine": False, "midiff-fmine": True,
+    "ksg": None,
+}
+
+ESTIMATOR_IDS = tuple(_NEEDS_Z)
 
 
 def _total(terms: list):
@@ -550,65 +556,50 @@ def _report(estimator: str, per_run: list[float], failures: list[dict], diagnost
     """An :class:`EstimateReport` with the mean and sample std of ``per_run``."""
     mean = float(np.mean(per_run)) if per_run else float("nan")
     std = float(np.std(per_run, ddof=1)) if len(per_run) > 1 else (0.0 if per_run else float("nan"))
-    return EstimateReport(
-        estimator=estimator,
-        per_run=per_run,
-        mean=mean,
-        std=std,
-        failed_runs=failures,
-        diagnostics=diagnostics,
-    )
+    return EstimateReport(estimator, per_run, mean, std, failures, diagnostics)
 
 
 def cmi_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
     """Conditional MI via adversarial training. Requires dz >= 1."""
-    if samples.dz < 1:
-        raise ValueError("conditional estimation needs dz >= 1; use mi_gan_estimate for plain MI")
-    return _run_many("cmigan", samples, config or EstimatorConfig(), jobs)
+    return estimate(samples, "cmigan", config, jobs)
 
 
 def mi_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
-    """Unconditional MI via the same loop with an empty conditioning block."""
-    if samples.dz != 0:
-        raise ValueError("mi_gan_estimate expects dz == 0")
-    return _run_many("migan", samples, config or EstimatorConfig(), jobs)
+    """Unconditional MI via the same loop with an empty conditioning block. Requires dz == 0."""
+    return estimate(samples, "migan", config, jobs)
 
 
 def mi_diff_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
-    """CMI as a difference of two DV objectives sharing one X generator."""
-    if samples.dz < 1:
-        raise ValueError("the difference variant needs dz >= 1")
-    return _run_many("midiffgan", samples, config or EstimatorConfig(), jobs)
+    """CMI as a difference of two DV objectives sharing one X generator. Requires dz >= 1."""
+    return estimate(samples, "midiffgan", config, jobs)
 
 
 def f_mine_mi_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
-    """Unconditional MI from the permutation critic (f-divergence bound)."""
-    if samples.dz != 0:
-        raise ValueError("the permutation critic estimates unconditional MI (dz must be 0)")
-    return _run_many("fmine", samples, config or EstimatorConfig(), jobs)
+    """Unconditional MI from the permutation critic (f-divergence bound). Requires dz == 0."""
+    return estimate(samples, "fmine", config, jobs)
 
 
-def mi_diff_cmi_estimate(
-    samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1
-) -> EstimateReport:
-    """CMI as ``I(X;(Y,Z)) - I(X;Z)``, each term an ``fmine`` estimate.
+def mi_diff_cmi_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
+    """CMI as ``I(X;(Y,Z)) - I(X;Z)``, each term an ``fmine`` estimate. Requires dz >= 1."""
+    return estimate(samples, "midiff-fmine", config, jobs)
+
+
+def _mi_diff_fmine(samples: SampleSet, cfg: EstimatorConfig, jobs: int) -> EstimateReport:
+    """``midiff-fmine``: the two ``fmine`` terms of ``I(X;(Y,Z)) - I(X;Z)``.
 
     Run r of both terms uses seed ``seed + r``, so per-run differences
     share their initialization and batching noise. A run failing on
     either side drops the pair. The KSG form of this difference is
     ``estimate(samples, "ksg")`` with dz >= 1.
     """
-    cfg = config or EstimatorConfig()
-    if samples.dz < 1:
-        raise ValueError("the difference composition needs dz >= 1")
     dx, dy, dz = samples.dims
     s = samples.standardized() if cfg.standardize else samples
 
     full = SampleSet(s.data, (dx, dy + dz, 0))
     marginal = SampleSet(np.hstack([s.x, s.z]), (dx, dz, 0))
     sub_cfg = dataclasses.replace(cfg, standardize=False)
-    rep_full = f_mine_mi_estimate(full, sub_cfg, jobs=jobs)
-    rep_marginal = f_mine_mi_estimate(marginal, sub_cfg, jobs=jobs)
+    rep_full = _run_many("fmine", full, sub_cfg, jobs)
+    rep_marginal = _run_many("fmine", marginal, sub_cfg, jobs)
 
     failed = {f["run"] for f in rep_full.failed_runs} | {f["run"] for f in rep_marginal.failed_runs}
     full_by_run = {d["seed"] - cfg.seed: v for v, d in zip(rep_full.per_run, rep_full.diagnostics["runs"])}
@@ -634,20 +625,6 @@ def _ksg_estimate(samples: SampleSet, cfg: EstimatorConfig, ksg_config: KSGConfi
     return _report("ksg", [res.value], [], diagnostics)
 
 
-# estimator id -> report of (samples, config, jobs, ksg_config); KSG
-# threads its own tree queries and ignores ``jobs``
-_ESTIMATORS = {
-    "cmigan": lambda s, cfg, jobs, _: cmi_gan_estimate(s, cfg, jobs),
-    "migan": lambda s, cfg, jobs, _: mi_gan_estimate(s, cfg, jobs),
-    "midiffgan": lambda s, cfg, jobs, _: mi_diff_gan_estimate(s, cfg, jobs),
-    "fmine": lambda s, cfg, jobs, _: f_mine_mi_estimate(s, cfg, jobs),
-    "midiff-fmine": lambda s, cfg, jobs, _: mi_diff_cmi_estimate(s, cfg, jobs),
-    "ksg": lambda s, cfg, _, ksg_config: _ksg_estimate(s, cfg, ksg_config),
-}
-
-ESTIMATOR_IDS = tuple(_ESTIMATORS)
-
-
 def estimate(
     samples: SampleSet,
     estimator: str,
@@ -657,9 +634,20 @@ def estimate(
 ) -> EstimateReport:
     """Dispatch by estimator id (see :data:`ESTIMATOR_IDS`).
 
-    ``ksg`` picks the conditional or unconditional form from dz; the
-    network estimators enforce their own dz preconditions.
+    ``cmigan``, ``midiffgan`` and ``midiff-fmine`` need conditional data
+    (dz >= 1), ``migan`` and ``fmine`` unconditional data (dz == 0);
+    ``ksg`` picks its conditional or unconditional form from dz. KSG
+    threads its own tree queries and ignores ``jobs``.
     """
-    if estimator not in _ESTIMATORS:
+    if estimator not in ESTIMATOR_IDS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_IDS}")
-    return _ESTIMATORS[estimator](samples, config or EstimatorConfig(), jobs, ksg_config)
+    needs_z = _NEEDS_Z[estimator]
+    if needs_z is not None and (samples.dz >= 1) != needs_z:
+        rule = "dz >= 1" if needs_z else "dz == 0"
+        raise ValueError(f"{estimator} needs data with {rule}, got dz={samples.dz}")
+    cfg = config or EstimatorConfig()
+    if estimator == "ksg":
+        return _ksg_estimate(samples, cfg, ksg_config)
+    if estimator == "midiff-fmine":
+        return _mi_diff_fmine(samples, cfg, jobs)
+    return _run_many(estimator, samples, cfg, jobs)

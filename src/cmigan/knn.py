@@ -36,25 +36,21 @@ _SATURATION_FRACTION = 0.85
 # took 4.1 s at 16 and 4.6 s at 64.
 _MARGINAL_LEAFSIZE = 128
 
+# half-width and seed of the uniform noise added when duplicate points
+# make some eps_i zero, which would otherwise put psi at an invalid argument
+_JITTER_SCALE = 1e-10
+_JITTER_SEED = 0
+
 
 @dataclass(frozen=True)
 class KSGConfig:
-    """Knobs for the KSG estimators.
-
-    ``jitter_scale``/``jitter_seed`` control the uniform noise added when
-    duplicate points make some ``eps_i`` zero, which would otherwise put
-    ``psi`` at an invalid argument.
-    """
+    """Knobs for the KSG estimators: the neighbour order ``k``."""
 
     k: int = 5
-    jitter_scale: float = 1e-10
-    jitter_seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
-        if self.jitter_scale <= 0:
-            raise ValueError("jitter_scale must be positive")
 
 
 @dataclass
@@ -145,9 +141,9 @@ def ksg_mi_result(x, y, config: KSGConfig | None = None) -> KSGResult:
     eps, nx, ny = _neighbor_stats_kdtree(x, y, cfg.k)
     jitter_applied = False
     if np.any(eps == 0.0):
-        rng = np.random.default_rng(cfg.jitter_seed)
-        x = x + rng.uniform(-cfg.jitter_scale, cfg.jitter_scale, size=x.shape)
-        y = y + rng.uniform(-cfg.jitter_scale, cfg.jitter_scale, size=y.shape)
+        rng = np.random.default_rng(_JITTER_SEED)
+        x = x + rng.uniform(-_JITTER_SCALE, _JITTER_SCALE, size=x.shape)
+        y = y + rng.uniform(-_JITTER_SCALE, _JITTER_SCALE, size=y.shape)
         eps, nx, ny = _neighbor_stats_kdtree(x, y, cfg.k)
         jitter_applied = True
 

@@ -37,7 +37,11 @@ import numpy as np
 
 LR_FLOOR = 1e-8
 
-_SCHEDULE_MODES = ("total_decay", "per_interval")
+SCHEDULE_MODES = ("total_decay", "per_interval")
+
+# RMSProp's squared-gradient decay and denominator offset
+RMSPROP_RHO = 0.9
+RMSPROP_EPS = 1e-8
 
 
 class NumericalError(RuntimeError):
@@ -274,18 +278,12 @@ def add_grads(a: MLPGrads, b: MLPGrads, *, out: MLPGrads | None = None) -> MLPGr
     """Sum two gradient bundles (e.g. joint-batch and product-batch terms).
 
     The weight and bias sums go into ``out``'s arrays when it is given (it
-    may be ``a``), else into fresh ones. The input gradients are summed
-    when both are present with one shape; otherwise the result keeps
-    ``a.inputs`` (``None`` when ``a`` has none).
+    may be ``a``), else into fresh ones.
     """
     if out is None:
         out = MLPGrads([np.empty_like(g) for g in a.weights], [np.empty_like(g) for g in a.biases])
     for ga, gb, go in zip(a.weights + a.biases, b.weights + b.biases, out.weights + out.biases):
         np.add(ga, gb, out=go)
-    inputs = a.inputs
-    if inputs is not None and b.inputs is not None and inputs.shape == b.inputs.shape:
-        inputs = inputs + b.inputs
-    out.inputs = inputs
     return out
 
 
@@ -295,25 +293,20 @@ class RMSPropState:
 
     sq_weights: list[np.ndarray]
     sq_biases: list[np.ndarray]
-    rho: float = 0.9
-    eps: float = 1e-8
 
 
-def rmsprop_init(params: MLPParams, rho: float = 0.9, eps: float = 1e-8) -> RMSPropState:
+def rmsprop_init(params: MLPParams) -> RMSPropState:
     return RMSPropState(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-        rho=float(rho),
-        eps=float(eps),
+        [np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases]
     )
 
 
 def rmsprop_update(params: MLPParams, grads: MLPGrads, state: RMSPropState, lr: float):
     """One RMSProp update in place.
 
-    ``a <- rho*a + (1-rho)*g^2`` then ``p <- p - lr*g/(sqrt(a)+eps)``,
-    written into ``state``'s and ``params``' arrays; ``grads`` is only
-    read.
+    ``a <- rho*a + (1-rho)*g^2`` then ``p <- p - lr*g/(sqrt(a)+eps)``
+    with rho = :data:`RMSPROP_RHO` and eps = :data:`RMSPROP_EPS`, written
+    into ``state``'s and ``params``' arrays; ``grads`` is only read.
 
     Raises
     ------
@@ -322,15 +315,14 @@ def rmsprop_update(params: MLPParams, grads: MLPGrads, state: RMSPropState, lr: 
     """
     if lr <= 0 or not math.isfinite(lr):
         raise ValueError(f"learning rate must be positive and finite, got {lr}")
-    rho, eps = state.rho, state.eps
     ps = params.weights + params.biases
     for p, g, acc in zip(ps, grads.weights + grads.biases, state.sq_weights + state.sq_biases):
-        t = np.multiply(g, 1.0 - rho)
+        t = np.multiply(g, 1.0 - RMSPROP_RHO)
         t *= g
-        acc *= rho
+        acc *= RMSPROP_RHO
         acc += t
         np.sqrt(acc, out=t)
-        t += eps
+        t += RMSPROP_EPS
         step = np.multiply(g, lr)
         step /= t
         p -= step
@@ -384,8 +376,8 @@ class ScheduleConfig:
             raise ValueError("interval_steps must be a positive integer")
         if self.decay_factor <= 1:
             raise ValueError("decay_factor must exceed 1")
-        if self.mode not in _SCHEDULE_MODES:
-            raise ValueError(f"mode must be one of {_SCHEDULE_MODES}, got {self.mode!r}")
+        if self.mode not in SCHEDULE_MODES:
+            raise ValueError(f"mode must be one of {SCHEDULE_MODES}, got {self.mode!r}")
         if self.mode == "total_decay" and self.total_steps < 1:
             raise ValueError("total_steps must be positive for total_decay")
 

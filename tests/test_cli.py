@@ -21,6 +21,26 @@ TINY_NET = [
 # a dataset spec with every field the linear1 model needs
 _TINY_MODEL = {"kind": "model", "model": "linear1", "n": 100, "seed": 0, "dz": 1}
 
+# the run_config an earlier version wrote for the pinned cmigan run of
+# test_golden_per_run_and_trace_bytes, with RMSProp's rho and eps as fields
+_OLD_RUN_CONFIG = {
+    "command": "estimate",
+    "estimator": "cmigan",
+    "dataset": {
+        "kind": "model", "model": "linear1", "n": 256, "dz": 1, "d": None, "rho": None,
+        "dependent": False, "seed": 0,
+    },
+    "estimator_config": {
+        "reg_hidden": [8, 4], "gen_hidden": [8, 4], "batch_size": 64, "training_steps": 10,
+        "reg_training_ratio": 2, "noise_dim": None, "runs": 1, "seed": 5, "eval_passes": 2,
+        "initial_lr": 0.001, "lr_interval_steps": 1000, "lr_decay_factor": 10.0,
+        "lr_mode": "total_decay", "rmsprop_rho": 0.9, "rmsprop_eps": 1e-08,
+        "standardize": True, "record_trace": False,
+    },
+    "ksg": {"k": 5},
+    "threshold": None,
+}
+
 
 def _read_json(path):
     with open(path, encoding="utf-8") as fh:
@@ -140,6 +160,29 @@ class TestEstimate:
                 b"0,9,0.65605673980189372,0.23014905929887247\r\n"
             )
 
+    def test_midiff_fmine_trace_holds_both_terms(self, tmp_path, capsys):
+        report_path = str(tmp_path / "rep.json")
+        trace_path = str(tmp_path / "trace.csv")
+        code = main([
+            "-q", "estimate", "--estimator", "midiff-fmine",
+            "--model", "linear1", "--n", "256", "--dz", "1", "--data-seed", "0",
+            "--runs", "2", "--seed", "5", *TINY_NET,
+            "--trace", trace_path, "--out", report_path,
+        ])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        diagnostics = _read_json(report_path)["report"]["diagnostics"]
+        for term in ("full", "marginal"):
+            assert all("trace" not in run for run in diagnostics[term]["runs"])
+        with open(trace_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["run", "step", "reg_loss", "gen_loss"]
+        labels = [f"{term}/{r}" for term in ("full", "marginal") for r in (0, 1)]
+        assert [row[0] for row in rows[1:]] == [label for label in labels for _ in range(10)]
+        assert [int(row[1]) for row in rows[1:]] == list(range(10)) * 4
+        # fmine has no generator, so its generator loss is NaN
+        assert all(math.isfinite(float(row[2])) and row[3] == "nan" for row in rows[1:])
+
     def test_config_replay_is_bitwise(self, tmp_path, capsys):
         first = str(tmp_path / "first.json")
         code = main([
@@ -156,6 +199,19 @@ class TestEstimate:
         assert a["report"]["per_run"] == b["report"]["per_run"]
         assert a["report"]["mean"] == b["report"]["mean"]
         assert a["run_config"] == b["run_config"]
+
+    def test_replay_of_report_with_rmsprop_fields_is_bitwise(self, tmp_path, capsys):
+        path = str(tmp_path / "old.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"run_config": _OLD_RUN_CONFIG}, fh)
+        replay = str(tmp_path / "replay.json")
+        code = main(["-q", "estimate", "--config", path, "--out", replay])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        doc = _read_json(replay)
+        assert [v.hex() for v in doc["report"]["per_run"]] == ["-0x1.4fd3f3ef1bc8ap-1"]
+        assert "rmsprop_rho" not in doc["run_config"]["estimator_config"]
+        assert "rmsprop_eps" not in doc["run_config"]["estimator_config"]
 
     @pytest.mark.parametrize("doc", [
         {"run_config": {"estimator_config": {}}},
@@ -178,10 +234,16 @@ class TestEstimate:
             "kind": "csv", "path": "never-written.csv", "dims": ["1", "1", "1"], "mapping": None,
             "semicolon": False, "shuffle_seed": None,
         }},
+        # RMSProp's rho is a constant now; only its old default replays
+        {"estimator": "cmigan", "dataset": _TINY_MODEL, "estimator_config": {
+            "rmsprop_rho": 0.5, "batch_size": 32, "training_steps": 1, "eval_passes": 1,
+        }},
+        {"estimator": "magic", "estimator_config": {}, "dataset": _TINY_MODEL},
+        {"estimator": ["ksg"], "estimator_config": {}, "dataset": _TINY_MODEL},
     ], ids=[
         "missing-keys", "unknown-config-key", "non-object", "incomplete-dataset",
         "ill-typed-config-value", "ill-typed-k", "non-object-ksg", "zscore-normalize",
-        "ill-typed-dims",
+        "ill-typed-dims", "changed-rmsprop-rho", "unknown-estimator", "non-string-estimator",
     ])
     def test_malformed_replay_config_is_usage_error(self, tmp_path, capsys, doc):
         path = str(tmp_path / "bad.json")
@@ -223,6 +285,36 @@ class TestEstimate:
             "-q", "estimate", "--estimator", "ksg", "--data", data, "--dims", "1,1",
         ]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("estimator, data, rule", [
+        ("cmigan", ["--model", "gauss", "--d", "1", "--rho", "0.5"], "dz >= 1"),
+        ("midiffgan", ["--model", "gauss", "--d", "1", "--rho", "0.5"], "dz >= 1"),
+        ("midiff-fmine", ["--model", "gauss", "--d", "1", "--rho", "0.5"], "dz >= 1"),
+        ("migan", ["--model", "linear1", "--dz", "1"], "dz == 0"),
+        ("fmine", ["--model", "linear1", "--dz", "1"], "dz == 0"),
+    ])
+    def test_wrong_dz_is_usage_error(self, capsys, caplog, estimator, data, rule):
+        code = main(["-q", "estimate", "--estimator", estimator, *data, "--n", "100", *TINY_NET])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert f"{estimator} needs data with {rule}" in caplog.text
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "0"), ("--lr-decay", "1"), ("--lr-interval", "0"),
+    ])
+    def test_bad_schedule_is_usage_error_before_loading(self, tmp_path, capsys, flag, value):
+        # the CSV does not exist: loading it first would exit 3
+        missing = str(tmp_path / "absent.csv")
+        code = main([
+            "-q", "estimate", "--estimator", "ksg", "--data", missing, "--dims", "1,1,0",
+            flag, value,
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
     def test_data_errors(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.csv")

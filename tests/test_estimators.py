@@ -280,14 +280,7 @@ class TestVariants:
 
 class TestDispatch:
     def test_ids_cover_dispatcher(self):
-        assert set(ESTIMATOR_IDS) == {
-            "cmigan",
-            "migan",
-            "midiffgan",
-            "fmine",
-            "midiff-fmine",
-            "ksg",
-        }
+        assert ESTIMATOR_IDS == ("cmigan", "migan", "midiffgan", "fmine", "midiff-fmine", "ksg")
 
     def test_dispatch_matches_direct_calls(self):
         s = _toy_cmi_samples()
