@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import EstimatorConfig, _parallel_map, estimate
+from .estimators import EstimatorConfig, _check_jobs, _parallel_map, estimate
 from .knn import KSGConfig
 
 DEFAULT_THRESHOLD = 0.01  # nats
@@ -127,7 +127,7 @@ def run_cit_benchmark(
     threshold: float = DEFAULT_THRESHOLD,
     ksg_config: KSGConfig | None = None,
     ids=None,
-    jobs: int = 1,
+    jobs: int | None = None,
 ) -> CITBenchReport:
     """Score a labeled collection and compute its AuROC.
 
@@ -141,14 +141,15 @@ def run_cit_benchmark(
         same config, so results are deterministic given its seed.
     ids : sequence of str, optional
         Names for report entries; defaults to ds000, ds001, ...
-    jobs : int
+    jobs : int, optional
         Worker processes, one BLAS thread each, that score whole
-        datasets; the report does not depend on it. ``ksg`` always runs
-        in process.
+        datasets, as in :func:`cmigan.estimators.estimate`; the default
+        None means the usable CPUs. ``ksg`` always runs in process.
 
     Datasets whose estimate fails (all runs diverged) are reported,
     marked excluded, and left out of the AuROC.
     """
+    _check_jobs(jobs)
     cfg = config or EstimatorConfig()
     if ids is None:
         ids = [f"ds{i:03d}" for i in range(len(datasets))]

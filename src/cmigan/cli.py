@@ -182,20 +182,22 @@ def _write_json(path: str | None, doc: dict):
     print(text)
 
 
-def _labelled_runs(report_dict: dict) -> list:
-    """(label, diagnostics) of each run in a report: "0", "1", ..., or
-    "full/0", ..., "marginal/0", ... for midiff-fmine, which keeps the
-    runs of its two fmine terms apart."""
+def _labelled_runs(report_dict: dict, seed: int) -> list:
+    """(label, diagnostics) of each successful run in a report, labelled
+    by its run index, which is its seed minus the config's ``seed``: "0",
+    "1", ..., or "full/0", ..., "marginal/0", ... for midiff-fmine, which
+    keeps the runs of its two fmine terms apart. A failed run has no
+    diagnostics, so its index is missing."""
     diag = report_dict["diagnostics"]
     terms = [(f"{t}/", diag[t]) for t in ("full", "marginal")] if "full" in diag else [("", diag)]
-    return [(f"{pre}{i}", run) for pre, term in terms for i, run in enumerate(term.get("runs", []))]
+    return [(f"{pre}{run['seed'] - seed}", run) for pre, term in terms for run in term.get("runs", [])]
 
 
-def _write_trace(path: str, report_dict: dict):
+def _write_trace(path: str, report_dict: dict, seed: int):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "step", "reg_loss", "gen_loss"])
-        for label, run in _labelled_runs(report_dict):
+        for label, run in _labelled_runs(report_dict, seed):
             for step, reg, gen in run.get("trace", []):
                 writer.writerow([label, step, format(reg, ".17g"), format(gen, ".17g")])
     log.info("wrote %s", path)
@@ -289,9 +291,9 @@ def cmd_estimate(args) -> int:
         "version": __version__,
     }
     if args.trace is not None:
-        _write_trace(args.trace, doc["report"])
+        _write_trace(args.trace, doc["report"], cfg.seed)
     # traces are bulky and already in the CSV; keep the JSON lean
-    for _, run in _labelled_runs(doc["report"]):
+    for _, run in _labelled_runs(doc["report"], cfg.seed):
         run.pop("trace", None)
     _write_json(args.out, doc)
     if not report.per_run or not np.isfinite(report.mean):
@@ -406,10 +408,9 @@ def _add_estimator_flags(p: argparse.ArgumentParser):
                    help="start from the conditional-independence-testing hyperparameters")
     p.add_argument("--no-standardize", action="store_true", help="skip per-column z-scoring")
     p.add_argument("--k", type=int, default=5, help="kNN order for the ksg estimator")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    p.add_argument("--jobs", type=_jobs, default=cpus,
+    p.add_argument("--jobs", type=_jobs, default=None,
                    help="worker processes, one BLAS thread each, over network runs (estimate) "
-                        "or datasets (citest, bench); default: the usable CPUs, %(default)s")
+                        "or datasets (citest, bench); default: the usable CPUs")
     p.add_argument("--trace", default=None, metavar="CSV", help="write per-step losses here")
     p.add_argument("--out", "-o", default=None, metavar="JSON", help="write the report here")
 

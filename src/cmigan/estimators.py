@@ -30,6 +30,8 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import logging
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -504,13 +506,23 @@ def _one_blas_thread():
         setter(1)
 
 
-def _parallel_map(fn, tasks: list, jobs: int) -> list:
+def _check_jobs(jobs):
+    """A ``ValueError`` unless ``jobs`` is None or an int of at least 1."""
+    if jobs is not None and (type(jobs) is not int or jobs < 1):
+        raise ValueError(f"jobs must be None or an int of at least 1, got {jobs!r}")
+
+
+def _parallel_map(fn, tasks: list, jobs: int | None) -> list:
     """``[fn(*t) for t in tasks]``, in task order, over ``min(jobs,
-    len(tasks))`` worker processes that each run one BLAS thread. With
-    one worker, or no OpenBLAS thread setter to call, it runs here:
-    workers keeping the default BLAS threads oversubscribe the cores."""
+    len(tasks))`` worker processes (None: the usable CPUs) that each run
+    one BLAS thread. With one worker, in a daemonic process (which may
+    not start children), or with no OpenBLAS thread setter to call, it
+    runs here: workers keeping the default BLAS threads oversubscribe
+    the cores."""
+    if jobs is None:
+        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(jobs, len(tasks))
-    if workers <= 1 or not _blas_thread_setters():
+    if workers <= 1 or multiprocessing.current_process().daemon or not _blas_thread_setters():
         return [fn(*t) for t in tasks]
     with ProcessPoolExecutor(workers, initializer=_one_blas_thread) as pool:
         return [f.result() for f in [pool.submit(fn, *t) for t in tasks]]
@@ -528,7 +540,7 @@ def _single_run(kind: str, data, dims, cfg: EstimatorConfig, run_index: int):
     return result
 
 
-def _run_many(kind: str, s: SampleSet, cfg: EstimatorConfig, jobs: int) -> EstimateReport:
+def _run_many(kind: str, s: SampleSet, cfg: EstimatorConfig, jobs: int | None) -> EstimateReport:
     _validate_for_training(s, cfg)
     if cfg.standardize:
         s = s.standardized()
@@ -559,32 +571,32 @@ def _report(estimator: str, per_run: list[float], failures: list[dict], diagnost
     return EstimateReport(estimator, per_run, mean, std, failures, diagnostics)
 
 
-def cmi_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
+def cmi_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int | None = None) -> EstimateReport:
     """Conditional MI via adversarial training. Requires dz >= 1."""
     return estimate(samples, "cmigan", config, jobs)
 
 
-def mi_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
+def mi_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int | None = None) -> EstimateReport:
     """Unconditional MI via the same loop with an empty conditioning block. Requires dz == 0."""
     return estimate(samples, "migan", config, jobs)
 
 
-def mi_diff_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
+def mi_diff_gan_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int | None = None) -> EstimateReport:
     """CMI as a difference of two DV objectives sharing one X generator. Requires dz >= 1."""
     return estimate(samples, "midiffgan", config, jobs)
 
 
-def f_mine_mi_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
+def f_mine_mi_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int | None = None) -> EstimateReport:
     """Unconditional MI from the permutation critic (f-divergence bound). Requires dz == 0."""
     return estimate(samples, "fmine", config, jobs)
 
 
-def mi_diff_cmi_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int = 1) -> EstimateReport:
+def mi_diff_cmi_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int | None = None) -> EstimateReport:
     """CMI as ``I(X;(Y,Z)) - I(X;Z)``, each term an ``fmine`` estimate. Requires dz >= 1."""
     return estimate(samples, "midiff-fmine", config, jobs)
 
 
-def _mi_diff_fmine(samples: SampleSet, cfg: EstimatorConfig, jobs: int) -> EstimateReport:
+def _mi_diff_fmine(samples: SampleSet, cfg: EstimatorConfig, jobs: int | None) -> EstimateReport:
     """``midiff-fmine``: the two ``fmine`` terms of ``I(X;(Y,Z)) - I(X;Z)``.
 
     Run r of both terms uses seed ``seed + r``, so per-run differences
@@ -629,16 +641,22 @@ def estimate(
     samples: SampleSet,
     estimator: str,
     config: EstimatorConfig | None = None,
-    jobs: int = 1,
+    jobs: int | None = None,
     ksg_config: KSGConfig | None = None,
 ) -> EstimateReport:
     """Dispatch by estimator id (see :data:`ESTIMATOR_IDS`).
 
     ``cmigan``, ``midiffgan`` and ``midiff-fmine`` need conditional data
     (dz >= 1), ``migan`` and ``fmine`` unconditional data (dz == 0);
-    ``ksg`` picks its conditional or unconditional form from dz. KSG
-    threads its own tree queries and ignores ``jobs``.
+    ``ksg`` picks its conditional or unconditional form from dz.
+
+    ``jobs`` worker processes, one BLAS thread each, train the runs of a
+    network id (None: the CPUs this process may use; any other value
+    must be an int of at least 1), and the report does not depend on it.
+    A single run or a call from a daemonic process runs in process, and
+    KSG threads its own tree queries and ignores ``jobs``.
     """
+    _check_jobs(jobs)
     if estimator not in ESTIMATOR_IDS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_IDS}")
     needs_z = _NEEDS_Z[estimator]

@@ -250,6 +250,12 @@ class TestParallel:
             assert serial.entries[0].error == "all runs failed"
         assert hex_floats(parallel.to_dict()) == hex_floats(serial.to_dict())
 
+    def test_default_jobs_equals_serial_bitwise(self):
+        datasets, cfg = _parallel_suite("tiny")
+        serial = run_cit_benchmark(datasets, "cmigan", cfg, jobs=1)
+        default = run_cit_benchmark(datasets, "cmigan", cfg)
+        assert hex_floats(default.to_dict()) == hex_floats(serial.to_dict())
+
     def test_workers_run_one_blas_thread_and_parent_keeps_its_own(self):
         before = _blas_threads()
         if not before:

@@ -8,6 +8,8 @@ import pytest
 
 from cmigan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
+from oracle_tools import hex_floats
+
 TINY_NET = [
     "--steps", "10",
     "--batch-size", "64",
@@ -160,6 +162,28 @@ class TestEstimate:
                 b"0,9,0.65605673980189372,0.23014905929887247\r\n"
             )
 
+    @pytest.mark.parametrize("estimator, lr, labels", [
+        # runs 0, 2 and 3 fail, so the one traced run is run 1
+        ("cmigan", "1e100", ["1"]),
+        # run 2 fails in the full term, runs 1 and 2 in the marginal term
+        ("midiff-fmine", "1.78e101", ["full/0", "full/1", "full/3", "marginal/0", "marginal/3"]),
+    ], ids=["cmigan", "midiff-fmine"])
+    def test_trace_labels_runs_by_index_when_runs_fail(self, tmp_path, capsys, estimator, lr,
+                                                       labels):
+        trace_path = str(tmp_path / "trace.csv")
+        with np.errstate(all="ignore"):
+            code = main([
+                "-q", "estimate", "--estimator", estimator, "--model", "linear1", "--n", "256",
+                "--dz", "1", "--runs", "4", "--seed", "0", "--steps", "3", "--batch-size", "64",
+                "--reg-hidden", "8,4", "--gen-hidden", "8,4", "--eval-passes", "1",
+                "--lr", lr, "--jobs", "1", "--trace", trace_path,
+            ])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        with open(trace_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[0] for row in rows] == [label for label in labels for _ in range(3)]
+
     def test_midiff_fmine_trace_holds_both_terms(self, tmp_path, capsys):
         report_path = str(tmp_path / "rep.json")
         trace_path = str(tmp_path / "trace.csv")
@@ -183,12 +207,17 @@ class TestEstimate:
         # fmine has no generator, so its generator loss is NaN
         assert all(math.isfinite(float(row[2])) and row[3] == "nan" for row in rows[1:])
 
-    def test_config_replay_is_bitwise(self, tmp_path, capsys):
+    @pytest.mark.parametrize("estimator", ["cmigan", "migan", "midiffgan", "fmine",
+                                           "midiff-fmine", "ksg"])
+    def test_config_replay_is_bitwise(self, tmp_path, capsys, estimator):
+        # migan and fmine need dz == 0; two runs, so the network ids train
+        # in worker processes both times
+        data = (["--model", "gauss", "--d", "1", "--rho", "0.5"] if estimator in ("migan", "fmine")
+                else ["--model", "linear1", "--dz", "1"])
         first = str(tmp_path / "first.json")
         code = main([
-            "-q", "estimate", "--estimator", "cmigan",
-            "--model", "linear1", "--n", "256", "--dz", "1", "--data-seed", "1",
-            "--runs", "1", "--seed", "7", *TINY_NET, "--out", first,
+            "-q", "estimate", "--estimator", estimator, *data, "--n", "256", "--data-seed", "1",
+            "--runs", "2", "--seed", "7", *TINY_NET, "--out", first,
         ])
         assert code == EXIT_OK
         replay = str(tmp_path / "replay.json")
@@ -196,8 +225,7 @@ class TestEstimate:
         capsys.readouterr()
         assert code == EXIT_OK
         a, b = _read_json(first), _read_json(replay)
-        assert a["report"]["per_run"] == b["report"]["per_run"]
-        assert a["report"]["mean"] == b["report"]["mean"]
+        assert hex_floats(a["report"]) == hex_floats(b["report"])
         assert a["run_config"] == b["run_config"]
 
     def test_replay_of_report_with_rmsprop_fields_is_bitwise(self, tmp_path, capsys):

@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cmigan import estimators
+from cmigan.citest import run_cit_benchmark
 from cmigan.estimators import (
     ESTIMATOR_IDS,
     EstimatorConfig,
@@ -403,3 +406,44 @@ def test_parallel_equals_serial_bitwise(est):
     cfg = dataclasses.replace(TINY, record_trace=True, runs=3)
     serial = _pin(estimate(samples, est, cfg, jobs=1).to_dict())
     assert _pin(estimate(samples, est, cfg, jobs=2).to_dict()) == serial
+
+
+@pytest.mark.parametrize("est", _NETWORK_IDS)
+def test_default_jobs_equals_serial_bitwise(est):
+    samples = _toy_mi_samples() if est in ("migan", "fmine") else _toy_cmi_samples()
+    cfg = dataclasses.replace(TINY, record_trace=True)
+    serial = _pin(estimate(samples, est, cfg, jobs=1).to_dict())
+    assert _pin(estimate(samples, est, cfg).to_dict()) == serial
+
+
+def _cmi_report(est: str, jobs=None) -> dict:
+    return _pin(estimate(_toy_cmi_samples(), est, TINY, jobs=jobs).to_dict())
+
+
+@pytest.mark.parametrize("est", ["cmigan", "midiff-fmine"])
+def test_default_jobs_in_daemonic_worker_is_serial_bitwise(est):
+    # a daemonic process may not start children, so the runs take turns
+    with multiprocessing.Pool(1) as pool:
+        assert pool.apply_async(_cmi_report, (est,)).get(timeout=120) == _cmi_report(est, 1)
+
+
+def test_one_usable_cpu_starts_no_pool_bitwise(monkeypatch):
+    serial = _cmi_report("cmigan", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(estimators, "ProcessPoolExecutor", no_pool)
+    assert _cmi_report("cmigan") == serial
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", True])
+@pytest.mark.parametrize("entry", ["estimate", "run_cit_benchmark"])
+def test_bad_jobs_is_value_error(entry, jobs):
+    s = _toy_cmi_samples()
+    with pytest.raises(ValueError, match="jobs"):
+        if entry == "estimate":
+            estimate(s, "cmigan", TINY, jobs=jobs)
+        else:
+            run_cit_benchmark([(s, "CI"), (s, "CD")], "cmigan", TINY, jobs=jobs)
