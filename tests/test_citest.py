@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -203,6 +204,43 @@ class TestBenchmark:
         rep.entries.append(CITEntry("good", "CI", score=0.0, decision="CI"))
         rep.entries.append(CITEntry("bad", "CD", score=None, decision=None, failed=True))
         assert rep.excluded == ["bad"]
+
+    def test_report_json_bytes_pinned(self):
+        # the key order of the report and of its entries, which a
+        # comparison of dicts cannot see
+        rep = CITBenchReport("cmigan", 0.01, [
+            CITEntry("ci.csv", "CI", 0.004, "CI"),
+            CITEntry("cd.csv", "CD", None, None, failed=True, error="all runs failed"),
+        ])
+        assert json.dumps(rep.to_dict(), indent=2) == _CIT_REPORT_JSON
+
+
+_CIT_REPORT_JSON = """{
+  "estimator": "cmigan",
+  "threshold": 0.01,
+  "auroc": NaN,
+  "excluded": [
+    "cd.csv"
+  ],
+  "entries": [
+    {
+      "dataset_id": "ci.csv",
+      "label": "CI",
+      "score": 0.004,
+      "decision": "CI",
+      "failed": false,
+      "error": null
+    },
+    {
+      "dataset_id": "cd.csv",
+      "label": "CD",
+      "score": null,
+      "decision": null,
+      "failed": true,
+      "error": "all runs failed"
+    }
+  ]
+}"""
 
 
 def _blas_threads() -> list:

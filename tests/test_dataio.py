@@ -35,6 +35,18 @@ def test_round_trip_is_bitwise(tmp_path):
     assert loaded.kept_rows == loaded.source_rows == 200
 
 
+def test_csv_bytes_pinned(tmp_path):
+    # a signed zero, the smallest subnormal, a float printed without an
+    # exponent and an integral value; csv's \r\n line ends
+    s = SampleSet(np.array([[-0.0, 5e-324, 1e16], [1.0, 0.1, -2.5]]), (1, 1, 1))
+    path = tmp_path / "pin.csv"
+    save_csv(s, str(path))
+    assert path.read_bytes() == (
+        b"x0,y0,z0\r\n-0,4.9406564584124654e-324,10000000000000000\r\n"
+        b"1,0.10000000000000001,-2.5\r\n"
+    )
+
+
 def test_default_headers():
     assert default_headers((2, 1, 3)) == ["x0", "x1", "y0", "z0", "z1", "z2"]
 

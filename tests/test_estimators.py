@@ -12,6 +12,7 @@ from cmigan import estimators
 from cmigan.citest import run_cit_benchmark
 from cmigan.estimators import (
     ESTIMATOR_IDS,
+    EstimateReport,
     EstimatorConfig,
     SampleSet,
     cmi_gan_estimate,
@@ -235,6 +236,59 @@ class TestMechanics:
         serial = cmi_gan_estimate(s, TINY, jobs=1)
         parallel = cmi_gan_estimate(s, TINY, jobs=2)
         assert serial.per_run == parallel.per_run
+
+
+    def test_report_json_bytes_pinned(self):
+        # the key order of a report with a failed run, which a comparison
+        # of dicts cannot see; trace rows are tuples, written as lists
+        rep = EstimateReport(
+            "cmigan", [0.25, -0.0], 0.125, 0.17677669529663687,
+            [{"run": 1, "seed": 8, "reason": "generator loss became non-finite at step 3"}],
+            {
+                "runs": [{"seed": 7, "final_reg_loss": -0.5, "trace": [(0, -0.5, float("nan"))]}],
+                "lr": {"first": 0.001, "last": 0.0001},
+                "clamp_warnings": 0,
+            },
+        )
+        assert json.dumps(rep.to_dict(), indent=2) == _ESTIMATE_REPORT_JSON
+
+
+_ESTIMATE_REPORT_JSON = """{
+  "estimator": "cmigan",
+  "per_run": [
+    0.25,
+    -0.0
+  ],
+  "mean": 0.125,
+  "std": 0.17677669529663687,
+  "failed_runs": [
+    {
+      "run": 1,
+      "seed": 8,
+      "reason": "generator loss became non-finite at step 3"
+    }
+  ],
+  "diagnostics": {
+    "runs": [
+      {
+        "seed": 7,
+        "final_reg_loss": -0.5,
+        "trace": [
+          [
+            0,
+            -0.5,
+            NaN
+          ]
+        ]
+      }
+    ],
+    "lr": {
+      "first": 0.001,
+      "last": 0.0001
+    },
+    "clamp_warnings": 0
+  }
+}"""
 
 
 class TestVariants:

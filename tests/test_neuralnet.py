@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -269,6 +270,37 @@ def test_gradient_check_catches_sign_flip():
     report = gradient_check(num_nets=3, seed=0, backward_fn=flipped)
     assert not report.passed
     assert report.failures
+
+
+def test_gradient_check_report_json_bytes_pinned():
+    # one wrong bias gradient: the failure's key order and its index,
+    # a tuple written as a JSON list
+    def bumped(params, batch, upstream):
+        g = mlp_backward(params, batch, upstream)
+        g.biases[-1][0] += 1.0
+        return g
+
+    report = gradient_check(num_nets=1, seed=0, backward_fn=bumped)
+    assert json.dumps(report.to_dict(), indent=2) == """{
+  "passed": false,
+  "num_nets": 1,
+  "worst_rel_err": 0.28003817420731747,
+  "tol": 0.0001,
+  "h": 0.0001,
+  "failures": [
+    {
+      "net_seed": 0,
+      "layer": 2,
+      "kind": "bias",
+      "index": [
+        0
+      ],
+      "analytic": -2.5709417218918995,
+      "numeric": -3.5709417218909856,
+      "rel_err": 0.28003817420731747
+    }
+  ]
+}"""
 
 
 def test_rmsprop_scalar_example():
