@@ -21,8 +21,9 @@ Each training step makes ``reg_training_ratio`` critic updates (one
 without a generator), then one generator update that reuses the last
 critic batch's unswapped blocks (x and z for cmigan) with fresh noise.
 ``midiff-fmine`` composes two fmine estimates as
-``I(X;(Y,Z)) - I(X;Z)``, and ``ksg`` is the kNN baseline;
-:func:`estimate` checks the dz rule of an id and dispatches by it.
+``I(X;(Y,Z)) - I(X;Z)``, whose runs share one task list, and ``ksg`` is
+the kNN baseline; :func:`estimate` checks the dz rule of an id,
+standardizes the data and dispatches by the id.
 """
 
 from __future__ import annotations
@@ -540,28 +541,51 @@ def _single_run(kind: str, data, dims, cfg: EstimatorConfig, run_index: int):
     return result
 
 
-def _run_many(kind: str, s: SampleSet, cfg: EstimatorConfig, jobs: int | None) -> EstimateReport:
+def _run_many(estimator: str, s: SampleSet, cfg: EstimatorConfig, jobs: int | None) -> EstimateReport:
+    """The runs of a network id, every term's in one task list.
+
+    A network id is one term: its own game on ``s``. ``midiff-fmine`` is
+    ``I(X;(Y,Z)) - I(X;Z)``, two ``fmine`` terms: ``full`` and
+    ``marginal``, which enters with sign -1. Run r of every term uses
+    seed ``seed + r``, so the terms of a run share their initialization
+    and batching noise, and a run failing in any term drops the run.
+    """
     _validate_for_training(s, cfg)
-    if cfg.standardize:
-        s = s.standardized()
-    data = np.ascontiguousarray(s.data)
-    tasks = [(kind, data, s.dims, cfg, r) for r in range(cfg.runs)]
+    dx, dy, dz = s.dims
+    # term name -> (kind, data, dims, sign); a lone term's name is None
+    if estimator == "midiff-fmine":
+        terms = {
+            "full": ("fmine", s.data, (dx, dy + dz, 0), 1),
+            "marginal": ("fmine", np.hstack([s.x, s.z]), (dx, dz, 0), -1),
+        }
+    else:
+        terms = {None: (estimator, s.data, s.dims, 1)}
+    tasks = [
+        (kind, np.ascontiguousarray(data), dims, cfg, r)
+        for kind, data, dims, _ in terms.values()
+        for r in range(cfg.runs)
+    ]
+    results = _parallel_map(_single_run, tasks, jobs)
+    by_term = [results[i * cfg.runs : (i + 1) * cfg.runs] for i in range(len(terms))]
 
-    per_run, run_diags, failures = [], [], []
-    for estimate, diag, failure in _parallel_map(_single_run, tasks, jobs):
-        if failure is not None:
-            failures.append(failure)
-        else:
-            per_run.append(estimate)
-            run_diags.append(diag)
-
+    failures = [failure for chunk in by_term for _, _, failure in chunk if failure is not None]
+    failed = {failure["run"] for failure in failures}
+    signs = [sign for *_, sign in terms.values()]
+    per_run = [
+        _total([sign * chunk[r][0] for sign, chunk in zip(signs, by_term)])
+        for r in range(cfg.runs)
+        if r not in failed
+    ]
     sched = cfg.schedule()
-    diagnostics = {
-        "runs": run_diags,
-        "lr": {"first": lr_at(0, sched), "last": lr_at(cfg.training_steps - 1, sched)},
-        "clamp_warnings": sum(d.get("clamp_warnings", 0) for d in run_diags),
-    }
-    return _report(kind, per_run, failures, diagnostics)
+    diagnostics = {}
+    for name, chunk in zip(terms, by_term):
+        run_diags = [diag for _, diag, failure in chunk if failure is None]
+        diagnostics[name] = {
+            "runs": run_diags,
+            "lr": {"first": lr_at(0, sched), "last": lr_at(cfg.training_steps - 1, sched)},
+            "clamp_warnings": sum(d.get("clamp_warnings", 0) for d in run_diags),
+        }
+    return _report(estimator, per_run, failures, diagnostics if len(terms) > 1 else diagnostics[None])
 
 
 def _report(estimator: str, per_run: list[float], failures: list[dict], diagnostics: dict):
@@ -596,35 +620,8 @@ def mi_diff_cmi_estimate(samples: SampleSet, config: EstimatorConfig | None = No
     return estimate(samples, "midiff-fmine", config, jobs)
 
 
-def _mi_diff_fmine(samples: SampleSet, cfg: EstimatorConfig, jobs: int | None) -> EstimateReport:
-    """``midiff-fmine``: the two ``fmine`` terms of ``I(X;(Y,Z)) - I(X;Z)``.
-
-    Run r of both terms uses seed ``seed + r``, so per-run differences
-    share their initialization and batching noise. A run failing on
-    either side drops the pair. The KSG form of this difference is
-    ``estimate(samples, "ksg")`` with dz >= 1.
-    """
-    dx, dy, dz = samples.dims
-    s = samples.standardized() if cfg.standardize else samples
-
-    full = SampleSet(s.data, (dx, dy + dz, 0))
-    marginal = SampleSet(np.hstack([s.x, s.z]), (dx, dz, 0))
-    sub_cfg = dataclasses.replace(cfg, standardize=False)
-    rep_full = _run_many("fmine", full, sub_cfg, jobs)
-    rep_marginal = _run_many("fmine", marginal, sub_cfg, jobs)
-
-    failed = {f["run"] for f in rep_full.failed_runs} | {f["run"] for f in rep_marginal.failed_runs}
-    full_by_run = {d["seed"] - cfg.seed: v for v, d in zip(rep_full.per_run, rep_full.diagnostics["runs"])}
-    marg_by_run = {d["seed"] - cfg.seed: v for v, d in zip(rep_marginal.per_run, rep_marginal.diagnostics["runs"])}
-    per_run = [full_by_run[r] - marg_by_run[r] for r in range(cfg.runs) if r not in failed]
-    failures = rep_full.failed_runs + rep_marginal.failed_runs
-    diagnostics = {"full": rep_full.diagnostics, "marginal": rep_marginal.diagnostics}
-    return _report("midiff-fmine", per_run, failures, diagnostics)
-
-
-def _ksg_estimate(samples: SampleSet, cfg: EstimatorConfig, ksg_config: KSGConfig | None):
+def _ksg_estimate(s: SampleSet, ksg_config: KSGConfig | None):
     """KSG in its conditional or unconditional form, picked from dz."""
-    s = samples.standardized() if cfg.standardize else samples
     if s.dz > 0:
         res = ksg_cmi_result(s.x, s.y, s.z, ksg_config)
     else:
@@ -650,11 +647,15 @@ def estimate(
     (dz >= 1), ``migan`` and ``fmine`` unconditional data (dz == 0);
     ``ksg`` picks its conditional or unconditional form from dz.
 
+    With ``config.standardize`` (the default) every column is z-scored
+    here, once, before any estimator sees the data.
+
     ``jobs`` worker processes, one BLAS thread each, train the runs of a
-    network id (None: the CPUs this process may use; any other value
-    must be an int of at least 1), and the report does not depend on it.
-    A single run or a call from a daemonic process runs in process, and
-    KSG threads its own tree queries and ignores ``jobs``.
+    network id, both terms' runs for ``midiff-fmine`` (None: the CPUs
+    this process may use; any other value must be an int of at least 1),
+    and the report does not depend on it. A lone run or a call from a
+    daemonic process runs in process, and KSG threads its own tree
+    queries and ignores ``jobs``.
     """
     _check_jobs(jobs)
     if estimator not in ESTIMATOR_IDS:
@@ -664,8 +665,7 @@ def estimate(
         rule = "dz >= 1" if needs_z else "dz == 0"
         raise ValueError(f"{estimator} needs data with {rule}, got dz={samples.dz}")
     cfg = config or EstimatorConfig()
+    s = samples.standardized() if cfg.standardize else samples
     if estimator == "ksg":
-        return _ksg_estimate(samples, cfg, ksg_config)
-    if estimator == "midiff-fmine":
-        return _mi_diff_fmine(samples, cfg, jobs)
-    return _run_many(estimator, samples, cfg, jobs)
+        return _ksg_estimate(s, ksg_config)
+    return _run_many(estimator, s, cfg, jobs)

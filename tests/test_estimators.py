@@ -492,6 +492,22 @@ def test_one_usable_cpu_starts_no_pool_bitwise(monkeypatch):
     assert _cmi_report("cmigan") == serial
 
 
+def test_midiff_fmine_terms_share_one_pool(monkeypatch):
+    # the runs of both fmine terms are one task list for one pool
+    if not estimators._blas_thread_setters():
+        pytest.skip("no OpenBLAS thread setter: every run stays in process")
+    pools = []
+    pool_class = estimators.ProcessPoolExecutor
+
+    def counted_pool(*args, **kwargs):
+        pools.append(args)
+        return pool_class(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "ProcessPoolExecutor", counted_pool)
+    estimate(_toy_cmi_samples(), "midiff-fmine", TINY, jobs=2)
+    assert len(pools) == 1
+
+
 @pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", True])
 @pytest.mark.parametrize("entry", ["estimate", "run_cit_benchmark"])
 def test_bad_jobs_is_value_error(entry, jobs):
