@@ -7,7 +7,7 @@ conditionally dependent (CD) datasets as the positive class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -76,14 +76,7 @@ class CITEntry:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "label": self.label,
-            "score": self.score,
-            "decision": self.decision,
-            "failed": self.failed,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass

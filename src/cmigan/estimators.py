@@ -228,14 +228,7 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "per_run": list(self.per_run),
-            "mean": self.mean,
-            "std": self.std,
-            "failed_runs": list(self.failed_runs),
-            "diagnostics": self.diagnostics,
-        }
+        return dataclasses.asdict(self)
 
 
 def _validate_for_training(s: SampleSet, cfg: EstimatorConfig):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -417,14 +417,7 @@ class GradCheckReport:
     failures: list[GradCheckFailure] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "num_nets": self.num_nets,
-            "worst_rel_err": self.worst_rel_err,
-            "tol": self.tol,
-            "h": self.h,
-            "failures": [vars(f) | {"index": list(f.index)} for f in self.failures],
-        }
+        return asdict(self)
 
 
 def _random_small_spec(rng: np.random.Generator) -> MLPSpec:
