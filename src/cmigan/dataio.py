@@ -166,17 +166,21 @@ def default_headers(dims: tuple[int, int, int]) -> list[str]:
 
 
 def save_csv(samples: SampleSet, path: str, header_names: list[str] | None = None):
-    """Write a SampleSet as comma-separated UTF-8 with 17-digit floats."""
+    """Write a SampleSet as comma-separated UTF-8 with 17-digit floats and
+    csv's \\r\\n line ends. A header name may not hold a comma, a quote or
+    a line break, which would need csv quoting."""
     headers = header_names or default_headers(samples.dims)
     if len(headers) != samples.data.shape[1]:
         raise DataError(
             f"{len(headers)} header names for {samples.data.shape[1]} columns"
         )
+    if any(c in name for name in headers for c in ',"\r\n'):
+        raise DataError(f"header names may not hold a comma, a quote or a line break: {headers}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(headers)
-        for row in samples.data:
-            writer.writerow([format(v, ".17g") for v in row])
+        np.savetxt(
+            fh, samples.data, fmt="%.17g", delimiter=",", newline="\r\n",
+            header=",".join(headers), comments="",
+        )
 
 
 def sidecar_path(csv_path: str) -> str:

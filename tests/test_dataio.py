@@ -57,6 +57,14 @@ def test_header_count_must_match(tmp_path):
         save_csv(s, str(tmp_path / "bad.csv"), header_names=["a", "b"])
 
 
+@pytest.mark.parametrize("name", ["a,b", 'say "a"', "a\nb", "a\rb"])
+def test_header_name_needing_csv_quotes_rejected(tmp_path, name):
+    # written unquoted, such a name would split or end the header row
+    s = SampleSet(np.zeros((2, 2)), (1, 1, 0))
+    with pytest.raises(DataError, match="header names"):
+        save_csv(s, str(tmp_path / "quoted.csv"), header_names=[name, "y"])
+
+
 def test_column_selection_by_name_and_index(tmp_path):
     path = str(tmp_path / "t.csv")
     with open(path, "w", encoding="utf-8") as fh:
