@@ -5,7 +5,8 @@ on generated or CSV data), citest (manifest-driven benchmark), gradcheck
 (finite-difference audit of the network engine), bench (generate a
 labeled CIT suite and score it end to end).
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 usage error (running out of memory included),
+3 data error, 4 numerical failure.
 Progress goes to stderr; results go to stdout and report files, with the
 fully resolved run configuration embedded in every JSON report so a run
 can be replayed bit-for-bit from its own output.
@@ -515,6 +516,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("data: %s", exc)
         return EXIT_DATA
+    except MemoryError as exc:
+        log.error("usage: out of memory: %s", exc)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -370,12 +370,12 @@ class ScheduleConfig:
     total_steps: int = 30000
 
     def __post_init__(self):
-        if self.initial_lr <= 0:
-            raise ValueError("initial_lr must be positive")
+        if not 0 < self.initial_lr < math.inf:
+            raise ValueError(f"initial_lr must be positive and finite, got {self.initial_lr}")
         if self.interval_steps < 1:
             raise ValueError("interval_steps must be a positive integer")
-        if self.decay_factor <= 1:
-            raise ValueError("decay_factor must exceed 1")
+        if not 1 < self.decay_factor < math.inf:
+            raise ValueError(f"decay_factor must be finite and exceed 1, got {self.decay_factor}")
         if self.mode not in SCHEDULE_MODES:
             raise ValueError(f"mode must be one of {SCHEDULE_MODES}, got {self.mode!r}")
         if self.mode == "total_decay" and self.total_steps < 1:
@@ -452,8 +452,15 @@ def gradient_check(
     the central difference never straddles a non-smooth point.
 
     ``backward_fn`` exists for fault injection in tests; it defaults to
-    :func:`mlp_backward`.
+    :func:`mlp_backward`. A check needs ``num_nets >= 1`` and a finite,
+    positive ``h`` and ``tol``; any error that is not below ``tol``,
+    NaN included, is a failure.
     """
+    if num_nets < 1:
+        raise ValueError(f"num_nets must be at least 1, got {num_nets}")
+    for name, value in (("h", h), ("tol", tol)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if backward_fn is None:
         backward_fn = mlp_backward
     worst = 0.0
@@ -494,7 +501,7 @@ def gradient_check(
                     analytic = float(g_arr[idx])
                     err = _rel_err(analytic, numeric)
                     worst = max(worst, err)
-                    if err >= tol:
+                    if not err < tol:
                         failures.append(
                             GradCheckFailure(net_seed, layer, kind, idx, analytic, numeric, err)
                         )

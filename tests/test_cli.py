@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from cmigan import cli
 from cmigan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 from oracle_tools import hex_floats
@@ -331,6 +332,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "0"), ("--lr-decay", "1"), ("--lr-interval", "0"),
+        ("--lr", "nan"), ("--lr", "inf"), ("--lr-decay", "nan"), ("--lr-decay", "inf"),
     ])
     def test_bad_schedule_is_usage_error_before_loading(self, tmp_path, capsys, flag, value):
         # the CSV does not exist: loading it first would exit 3
@@ -343,6 +345,23 @@ class TestEstimate:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+    def test_out_of_memory_is_usage_error(self, capsys, caplog, monkeypatch):
+        # generating 1e11 rows would need about 745 GiB; the stub raises
+        # numpy's error without allocating anything
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "generate", too_big)
+        code = main([
+            "-q", "estimate", "--estimator", "ksg", "--model", "gauss",
+            "--n", "100000000000", "--d", "1", "--rho", "0.5",
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "usage: out of memory: Unable to allocate 745. GiB" in caplog.text
 
     def test_data_errors(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.csv")
@@ -394,6 +413,16 @@ class TestGradcheck:
         assert doc["passed"] is True
         assert doc["num_nets"] == 5
         assert doc["worst_rel_err"] < 1e-4
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--h", "0"), ("--h", "nan"), ("--tol", "nan"), ("--nets", "0"), ("--nets", "-1"),
+    ])
+    def test_bad_settings_are_usage_errors(self, capsys, flag, value):
+        code = main(["-q", "gradcheck", "--nets", "2", flag, value])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
 
 class TestBenchAndCitest:

@@ -272,6 +272,28 @@ def test_gradient_check_catches_sign_flip():
     assert report.failures
 
 
+@pytest.mark.parametrize("setting", [
+    {"num_nets": 0}, {"num_nets": -1},
+    {"h": 0.0}, {"h": -1e-4}, {"h": math.nan}, {"h": math.inf},
+    {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+])
+def test_gradient_check_rejects_bad_settings(setting):
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        gradient_check(**setting)
+
+
+def test_gradient_check_fails_on_nan_error():
+    # a NaN relative error is not below tol, so it cannot pass
+    def nan_bias(params, batch, upstream):
+        g = mlp_backward(params, batch, upstream)
+        g.biases[-1][0] = math.nan
+        return g
+
+    report = gradient_check(num_nets=1, seed=0, backward_fn=nan_bias)
+    assert not report.passed
+    assert [f.kind for f in report.failures] == ["bias"]
+
+
 def test_gradient_check_report_json_bytes_pinned():
     # one wrong bias gradient: the failure's key order and its index,
     # a tuple written as a JSON list
@@ -410,6 +432,12 @@ def test_schedule_validation():
         ScheduleConfig(1e-3, 0, 10.0)
     with pytest.raises(ValueError):
         ScheduleConfig(1e-3, 1000, 1.0)
+    for lr in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="initial_lr"):
+            ScheduleConfig(lr, 1000, 10.0)
+    for factor in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="decay_factor"):
+            ScheduleConfig(1e-3, 1000, factor)
     with pytest.raises(ValueError):
         ScheduleConfig(1e-3, 1000, 10.0, mode="linear")
     with pytest.raises(ValueError):
