@@ -500,7 +500,7 @@ def gradient_check(
                     numeric = (up - down) / (2.0 * h)
                     analytic = float(g_arr[idx])
                     err = _rel_err(analytic, numeric)
-                    worst = max(worst, err)
+                    worst = float(np.maximum(worst, err))  # keeps a NaN
                     if not err < tol:
                         failures.append(
                             GradCheckFailure(net_seed, layer, kind, idx, analytic, numeric, err)

@@ -291,6 +291,7 @@ def test_gradient_check_fails_on_nan_error():
 
     report = gradient_check(num_nets=1, seed=0, backward_fn=nan_bias)
     assert not report.passed
+    assert math.isnan(report.worst_rel_err)
     assert [f.kind for f in report.failures] == ["bias"]
 
 
