@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ from cmigan.datagen import (
     gen_linear2,
     gen_linear3,
     gen_nonlinear,
+    generate,
     regenerate,
     true_cmi,
 )
@@ -38,6 +41,36 @@ def test_regenerate_is_bitwise(factory):
     again = regenerate(params)
     assert np.array_equal(samples.data, again.data)
     assert samples.dims == again.dims
+
+
+# sha256 prefix of each dataset's bytes plus the JSON of its dims, params,
+# label and truth, at n=64; a change to a generator that moves any of them
+# moves its digest
+_PINNED = {
+    ("linear1", (("dz", 3),), 0): "ad5d86a0dc187670",
+    ("linear1", (("dz", 3),), 7): "285d136a02c27475",
+    ("linear2", (("dz", 3),), 0): "67d79e0e73ed88f1",
+    ("linear2", (("dz", 3),), 7): "8dce5ca34b47b987",
+    ("linear3", (("d", 2),), 0): "91e0ba6bc9f4e74a",
+    ("linear3", (("d", 2),), 7): "cd4c9768ae1bab31",
+    ("nonlinear", (("dz", 4),), 0): "44da1bd9b3de3a3c",
+    ("nonlinear", (("dz", 4),), 7): "4823ea92cb29a198",
+    ("cit", (("dependent", False), ("dz", 2)), 0): "8c00656f4d271c61",
+    ("cit", (("dependent", False), ("dz", 2)), 7): "29ef0f964bf80de2",
+    ("cit", (("dependent", True), ("dz", 2)), 0): "74641b20a4eca2e2",
+    ("cit", (("dependent", True), ("dz", 2)), 7): "1971ca4fd093f527",
+    ("gauss", (("d", 2), ("rho", 0.7)), 0): "34979d060ac3756d",
+    ("gauss", (("d", 2), ("rho", 0.7)), 7): "662a10c21d003e74",
+}
+
+
+@pytest.mark.parametrize("model, kw, seed", list(_PINNED))
+def test_generated_bytes_pinned(model, kw, seed):
+    samples, params, label = generate(model, 64, seed, **dict(kw))
+    doc = {"dims": samples.dims, "params": params.to_dict(), "label": label,
+           "true_cmi": true_cmi(params)}
+    digest = hashlib.sha256(samples.data.tobytes() + json.dumps(doc).encode()).hexdigest()
+    assert digest[:16] == _PINNED[model, kw, seed]
 
 
 def test_regenerate_cit_both_labels():
