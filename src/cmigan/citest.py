@@ -143,6 +143,8 @@ def run_cit_benchmark(
     marked excluded, and left out of the AuROC.
     """
     _check_jobs(jobs)
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     cfg = config or EstimatorConfig()
     if ids is None:
         ids = [f"ds{i:03d}" for i in range(len(datasets))]

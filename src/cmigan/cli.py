@@ -52,22 +52,18 @@ EXIT_NUMERICAL = 4
 SEED_ENV = "CMIGAN_SEED"
 
 
-class UsageError(ValueError):
-    """Bad flag combinations that argparse cannot see."""
-
-
 def _default_seed() -> int:
     try:
         return int(os.environ.get(SEED_ENV, "0"))
     except ValueError:
-        raise UsageError(f"{SEED_ENV} must be an integer") from None
+        raise ValueError(f"{SEED_ENV} must be an integer") from None
 
 
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _jobs(text: str) -> int:
@@ -99,16 +95,16 @@ def _estimator_config(args, seed: int) -> EstimatorConfig:
 
 def _dataset_spec_from_args(args) -> dict:
     if args.data is not None and args.model is not None:
-        raise UsageError("give either --data or --model, not both")
+        raise ValueError("give either --data or --model, not both")
     if args.data is not None:
         if args.dims is not None:
             dims = _int_list(args.dims)
             if len(dims) != 3:
-                raise UsageError("--dims must be dx,dy,dz")
+                raise ValueError("--dims must be dx,dy,dz")
             mapping = None
         elif args.x_cols or args.y_cols:
             if not (args.x_cols and args.y_cols):
-                raise UsageError("--x-cols and --y-cols must be given together")
+                raise ValueError("--x-cols and --y-cols must be given together")
             mapping = {
                 "x_cols": _cols(args.x_cols),
                 "y_cols": _cols(args.y_cols),
@@ -116,7 +112,7 @@ def _dataset_spec_from_args(args) -> dict:
             }
             dims = None
         else:
-            raise UsageError("CSV input needs --dims or --x-cols/--y-cols[/--z-cols]")
+            raise ValueError("CSV input needs --dims or --x-cols/--y-cols[/--z-cols]")
         return {
             "kind": "csv",
             "path": os.path.abspath(args.data),
@@ -136,7 +132,7 @@ def _dataset_spec_from_args(args) -> dict:
             "dependent": args.dependent,
             "seed": args.data_seed,
         }
-    raise UsageError("an input is required: --data FILE or --model NAME")
+    raise ValueError("an input is required: --data FILE or --model NAME")
 
 
 def _load_dataset(spec: dict):
@@ -154,7 +150,7 @@ def _load_dataset(spec: dict):
     if spec["kind"] == "csv":
         if spec.get("normalize", "none") != "none":
             # an older report may ask for the removed load-time z-scoring
-            raise UsageError(f"dataset normalize={spec['normalize']!r} is no longer supported")
+            raise ValueError(f"dataset normalize={spec['normalize']!r} is no longer supported")
         by_dims = spec.get("dims") is not None
         if by_dims:
             mapping = ColumnMapping.from_dims(spec["dims"], spec.get("shuffle_seed"))
@@ -171,7 +167,7 @@ def _load_dataset(spec: dict):
             "loaded %s: %d rows kept, %d dropped", spec["path"], loaded.kept_rows, loaded.dropped_rows
         )
         return loaded.samples
-    raise UsageError(f"unknown dataset kind {spec['kind']!r}")
+    raise ValueError(f"unknown dataset kind {spec['kind']!r}")
 
 
 def _write_json(path: str | None, doc: dict):
@@ -230,25 +226,25 @@ def _replay_config(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
-        raise UsageError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     run_config = doc.get("run_config", doc)
     if not isinstance(run_config, dict):
-        raise UsageError(f"{path}: run_config must be a JSON object")
+        raise ValueError(f"{path}: run_config must be a JSON object")
     missing = [key for key in ("estimator", "estimator_config", "dataset") if key not in run_config]
     if missing:
-        raise UsageError(f"{path}: run_config lacks {', '.join(missing)}")
+        raise ValueError(f"{path}: run_config lacks {', '.join(missing)}")
     for key in ("estimator_config", "dataset", "ksg"):
         if not isinstance(run_config.get(key, {}), dict):
-            raise UsageError(f"{path}: run_config.{key} must be a JSON object")
+            raise ValueError(f"{path}: run_config.{key} must be a JSON object")
     config = run_config["estimator_config"]
     # reports from before RMSProp's rho and eps became constants carry them
     for key, value in (("rmsprop_rho", RMSPROP_RHO), ("rmsprop_eps", RMSPROP_EPS)):
         if (given := config.pop(key, value)) != value:
-            raise UsageError(f"{path}: {key}={given!r} is no longer supported; it is {value}")
+            raise ValueError(f"{path}: {key}={given!r} is no longer supported; it is {value}")
     known = {f.name for f in dataclasses.fields(EstimatorConfig)}
     unknown = sorted(set(config) - known)
     if unknown:
-        raise UsageError(f"{path}: unknown estimator_config keys {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown estimator_config keys {', '.join(unknown)}")
     return run_config
 
 
@@ -271,14 +267,14 @@ def cmd_estimate(args) -> int:
         ksg_cfg = KSGConfig(k=run_config.get("ksg", {}).get("k", 5))
     except TypeError as exc:
         # a replayed config value of the wrong JSON type, e.g. "k": "5"
-        raise UsageError(f"ill-typed config value: {exc}") from None
+        raise ValueError(f"ill-typed config value: {exc}") from None
     try:
         samples = _load_dataset(run_config["dataset"])
     except KeyError as exc:
         # only a hand-edited replay config can lack a dataset field
-        raise UsageError(f"dataset spec lacks {exc}") from None
+        raise ValueError(f"dataset spec lacks {exc}") from None
     except TypeError as exc:
-        raise UsageError(f"ill-typed dataset spec: {exc}") from None
+        raise ValueError(f"ill-typed dataset spec: {exc}") from None
 
     start = time.monotonic()
     report = estimate(samples, estimator, cfg, jobs=args.jobs, ksg_config=ksg_cfg)
@@ -360,6 +356,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_bench(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    if min(args.n_ci, args.n_cd) < 0 or args.n_ci + args.n_cd == 0:
+        raise ValueError("--n-ci and --n-cd must be non-negative and not both 0")
     os.makedirs(args.outdir, exist_ok=True)
     entries = []
     datasets = []
@@ -501,9 +499,6 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except UsageError as exc:
-        log.error("usage: %s", exc)
-        return EXIT_USAGE
     except DataError as exc:
         log.error("data: %s", exc)
         return EXIT_DATA

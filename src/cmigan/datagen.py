@@ -27,18 +27,18 @@ gauss     d independent bivariate normal pairs with correlation rho.
 Closed-form truths: linear1/linear2 give 0.5*ln(101); linear3 gives
 (d/2)*ln 2; gauss gives -(d/2)*ln(1-rho^2). The nonlinear and cit
 models have no closed form (use the kNN ground-truth path).
+
+Each model is one row of the ``_MODELS`` table at the end of this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .estimators import SampleSet
-
-MODEL_IDS = ("linear1", "linear2", "linear3", "nonlinear", "cit", "gauss")
 
 NONLINEAR_FUNCS = {
     "cos": np.cos,
@@ -66,88 +66,73 @@ class ModelParams:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODEL_IDS}")
 
     def to_dict(self) -> dict:
-        extras = {}
-        for key, val in self.extras.items():
-            extras[key] = val.tolist() if isinstance(val, np.ndarray) else val
-        return {
-            "model": self.model,
-            "n": self.n,
-            "dx": self.dx,
-            "dy": self.dy,
-            "dz": self.dz,
-            "seed": self.seed,
-            "rng": RNG_NAME,
-            "extras": extras,
+        d = asdict(self)
+        d["rng"] = RNG_NAME
+        d["extras"] = {
+            key: val.tolist() if isinstance(val, np.ndarray) else val
+            for key, val in d.pop("extras").items()
         }
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
-        return cls(
-            model=d["model"],
-            n=int(d["n"]),
-            dx=int(d["dx"]),
-            dy=int(d["dy"]),
-            dz=int(d["dz"]),
-            seed=int(d["seed"]),
-            extras=dict(d.get("extras", {})),
-        )
+        ints = {key: int(d[key]) for key in ("n", "dx", "dy", "dz", "seed")}
+        return cls(model=d["model"], **ints, extras=dict(d.get("extras", {})))
 
 
-def _check_n(n: int):
+def _stream(n: int, size: int, size_name: str, seed: int) -> np.random.Generator:
+    """The PCG64 stream of a draw of ``n`` rows whose block size is ``size``."""
     if n < 1:
         raise ValueError("n must be positive")
+    if size < 1:
+        raise ValueError(f"{size_name} must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
+def _assemble(model: str, seed: int, x, y, z, **extras) -> tuple[SampleSet, ModelParams]:
+    """The [x|y|z] sample matrix of drawn blocks and its ModelParams."""
+    dims = (x.shape[1], y.shape[1], z.shape[1])
+    params = ModelParams(model, x.shape[0], *dims, seed, extras=extras)
+    return SampleSet(np.hstack([x, y, z]), dims), params
 
 
 def gen_linear1(n: int, dz: int, seed: int) -> tuple[SampleSet, ModelParams]:
     """X ~ N(0,1), Z uniform, Y = X + N(Z_1, 0.01)."""
-    _check_n(n)
-    if dz < 1:
-        raise ValueError("dz must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _stream(n, dz, "dz", seed)
     x = rng.standard_normal((n, 1))
     z = rng.uniform(-0.5, 0.5, size=(n, dz))
     eps = z[:, :1] + 0.1 * rng.standard_normal((n, 1))
     y = x + eps
-    params = ModelParams("linear1", n, 1, 1, dz, seed)
-    return SampleSet(np.hstack([x, y, z]), (1, 1, dz)), params
+    return _assemble("linear1", seed, x, y, z)
 
 
 def gen_linear2(n: int, dz: int, seed: int) -> tuple[SampleSet, ModelParams]:
     """Like linear1 but Z gaussian and the noise mean is w.Z, |w|_1 = 1."""
-    _check_n(n)
-    if dz < 1:
-        raise ValueError("dz must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _stream(n, dz, "dz", seed)
     w = rng.uniform(0.0, 1.0, size=dz)
     w = w / np.abs(w).sum()
     x = rng.standard_normal((n, 1))
     z = rng.standard_normal((n, dz))
     eps = (z @ w)[:, None] + 0.1 * rng.standard_normal((n, 1))
     y = x + eps
-    params = ModelParams("linear2", n, 1, 1, dz, seed, extras={"w": w})
-    return SampleSet(np.hstack([x, y, z]), (1, 1, dz)), params
+    return _assemble("linear2", seed, x, y, z, w=w)
 
 
 def gen_linear3(n: int, d: int, seed: int) -> tuple[SampleSet, ModelParams]:
     """d-dimensional blocks; every Y coordinate shares the Z_1 noise mean."""
-    _check_n(n)
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _stream(n, d, "d", seed)
     x = 0.5 * rng.standard_normal((n, d))
     z = rng.uniform(-0.5, 0.5, size=(n, d))
     eps = z[:, :1] + 0.5 * rng.standard_normal((n, d))
     y = x + eps
-    params = ModelParams("linear3", n, d, d, d, seed)
-    return SampleSet(np.hstack([x, y, z]), (d, d, d)), params
+    return _assemble("linear3", seed, x, y, z)
 
 
 def gen_nonlinear(n: int, dz: int, seed: int) -> tuple[SampleSet, ModelParams]:
     """Scalar X, Y through random nonlinearities; Z enters Y via A_zy."""
-    _check_n(n)
-    if dz < 1:
-        raise ValueError("dz must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _stream(n, dz, "dz", seed)
     names = list(NONLINEAR_FUNCS)
     a_zy = rng.standard_normal(dz)
     a_zy = a_zy / np.linalg.norm(a_zy)
@@ -158,10 +143,7 @@ def gen_nonlinear(n: int, dz: int, seed: int) -> tuple[SampleSet, ModelParams]:
     eta2 = math.sqrt(0.1) * rng.standard_normal((n, 1))
     x = NONLINEAR_FUNCS[f1_name](eta1)
     y = NONLINEAR_FUNCS[f2_name]((z @ a_zy)[:, None] + 2.0 * x + eta2)
-    params = ModelParams(
-        "nonlinear", n, 1, 1, dz, seed, extras={"a_zy": a_zy, "f1": f1_name, "f2": f2_name}
-    )
-    return SampleSet(np.hstack([x, y, z]), (1, 1, dz)), params
+    return _assemble("nonlinear", seed, x, y, z, a_zy=a_zy, f1=f1_name, f2=f2_name)
 
 
 def gen_cit(n: int, dz: int, dependent: bool, seed: int) -> tuple[SampleSet, ModelParams, str]:
@@ -170,10 +152,7 @@ def gen_cit(n: int, dz: int, dependent: bool, seed: int) -> tuple[SampleSet, Mod
     Returns (samples, params, label) with label 'CD' when the c*X term
     couples Y to X and 'CI' otherwise.
     """
-    _check_n(n)
-    if dz < 1:
-        raise ValueError("dz must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _stream(n, dz, "dz", seed)
     a_x = rng.uniform(0.0, 1.0, size=dz)
     a_x = a_x / np.linalg.norm(a_x)
     b_y = rng.uniform(0.0, 1.0, size=dz)
@@ -186,25 +165,45 @@ def gen_cit(n: int, dz: int, dependent: bool, seed: int) -> tuple[SampleSet, Mod
     coupling = c * x if dependent else 0.0
     y = np.cos(coupling + (z @ b_y)[:, None] + eta2)
     label = "CD" if dependent else "CI"
-    params = ModelParams(
-        "cit", n, 1, 1, dz, seed,
-        extras={"a_x": a_x, "b_y": b_y, "c": c, "dependent": bool(dependent)},
+    samples, params = _assemble(
+        "cit", seed, x, y, z, a_x=a_x, b_y=b_y, c=c, dependent=bool(dependent)
     )
-    return SampleSet(np.hstack([x, y, z]), (1, 1, dz)), params, label
+    return samples, params, label
 
 
 def gen_gauss(n: int, d: int, rho: float, seed: int) -> tuple[SampleSet, ModelParams]:
     """d independent unit-variance bivariate normal pairs, correlation rho."""
-    _check_n(n)
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    rng = _stream(n, d, "d", seed)
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must lie strictly inside (-1, 1)")
-    rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     y = rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal((n, d))
-    params = ModelParams("gauss", n, d, d, 0, seed, extras={"rho": float(rho)})
-    return SampleSet(np.hstack([x, y]), (d, d, 0)), params
+    return _assemble("gauss", seed, x, y, np.empty((n, 0)), rho=float(rho))
+
+
+def _gauss_truth(params: ModelParams) -> float:
+    rho = float(params.extras["rho"])
+    return -0.5 * params.dx * math.log(1.0 - rho * rho)
+
+
+# model id -> (generator, the arguments it takes between n and seed,
+# closed-form I(X;Y|Z) of a ModelParams or None where there is none)
+_MODELS = {
+    "linear1": (gen_linear1, ("dz",), lambda p: 0.5 * math.log(101.0)),
+    "linear2": (gen_linear2, ("dz",), lambda p: 0.5 * math.log(101.0)),
+    "linear3": (gen_linear3, ("d",), lambda p: 0.5 * p.dx * math.log(2.0)),
+    "nonlinear": (gen_nonlinear, ("dz",), None),
+    "cit": (gen_cit, ("dz", "dependent"), lambda p: None if p.extras.get("dependent") else 0.0),
+    "gauss": (gen_gauss, ("d", "rho"), _gauss_truth),
+}
+
+MODEL_IDS = tuple(_MODELS)
+
+
+def _model(model: str):
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODEL_IDS}")
+    return _MODELS[model]
 
 
 def generate(model: str, n: int, seed: int, dz=None, d=None, rho=None, dependent=False):
@@ -213,55 +212,25 @@ def generate(model: str, n: int, seed: int, dz=None, d=None, rho=None, dependent
     The label ('CI' or 'CD') comes with ``cit`` only and is None for the
     other models. ``dz`` and ``d`` default to 1; ``gauss`` needs ``rho``.
     """
-    dz = 1 if dz is None else dz
-    d = 1 if d is None else d
-    if model == "cit":
-        return gen_cit(n, dz, bool(dependent), seed)
-    if model == "linear1":
-        samples, params = gen_linear1(n, dz, seed)
-    elif model == "linear2":
-        samples, params = gen_linear2(n, dz, seed)
-    elif model == "linear3":
-        samples, params = gen_linear3(n, d, seed)
-    elif model == "nonlinear":
-        samples, params = gen_nonlinear(n, dz, seed)
-    elif model == "gauss":
+    gen, arg_names, _ = _model(model)
+    if model == "gauss":
         if rho is None:
             raise ValueError("the gauss model needs rho")
-        samples, params = gen_gauss(n, d, float(rho), seed)
-    else:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODEL_IDS}")
-    return samples, params, None
+        rho = float(rho)
+    args = {"dz": 1 if dz is None else dz, "d": 1 if d is None else d, "rho": rho,
+            "dependent": bool(dependent)}
+    out = gen(n, *(args[name] for name in arg_names), seed)
+    return out if model == "cit" else (*out, None)
 
 
 def regenerate(params: ModelParams) -> SampleSet:
     """Rebuild the exact dataset described by a ModelParams record."""
-    return generate(
-        params.model,
-        params.n,
-        params.seed,
-        dz=params.dz,
-        d=params.dx,
-        rho=params.extras.get("rho"),
-        dependent=params.extras.get("dependent", False),
-    )[0]
+    extras = params.extras
+    return generate(params.model, params.n, params.seed, dz=params.dz, d=params.dx,
+                    rho=extras.get("rho"), dependent=extras.get("dependent", False))[0]
 
 
 def true_cmi(params: ModelParams) -> float | None:
     """Closed-form I(X;Y|Z) in nats, or None when no closed form exists."""
-    m = params.model
-    if m in ("linear1", "linear2"):
-        return 0.5 * math.log(101.0)
-    if m == "linear3":
-        return 0.5 * params.dx * math.log(2.0)
-    if m == "gauss":
-        rho = float(params.extras["rho"])
-        return -0.5 * params.dx * math.log(1.0 - rho * rho)
-    if m == "cit":
-        if not params.extras.get("dependent", False):
-            return 0.0
-        return None
-    if m == "nonlinear":
-        return None
-    raise ValueError(f"unknown model {m!r}")
-
+    truth = _model(params.model)[2]
+    return None if truth is None else truth(params)

@@ -46,6 +46,8 @@ class ColumnMapping:
     def __post_init__(self):
         if not self.x_cols or not self.y_cols:
             raise DataError("x_cols and y_cols must be non-empty")
+        if self.shuffle_seed is not None and self.shuffle_seed < 0:
+            raise ValueError(f"shuffle_seed must be non-negative, got {self.shuffle_seed}")
 
     @classmethod
     def from_dims(cls, dims, shuffle_seed: int | None = None) -> "ColumnMapping":
@@ -165,21 +167,13 @@ def default_headers(dims: tuple[int, int, int]) -> list[str]:
     )
 
 
-def save_csv(samples: SampleSet, path: str, header_names: list[str] | None = None):
-    """Write a SampleSet as comma-separated UTF-8 with 17-digit floats and
-    csv's \\r\\n line ends. A header name may not hold a comma, a quote or
-    a line break, which would need csv quoting."""
-    headers = header_names or default_headers(samples.dims)
-    if len(headers) != samples.data.shape[1]:
-        raise DataError(
-            f"{len(headers)} header names for {samples.data.shape[1]} columns"
-        )
-    if any(c in name for name in headers for c in ',"\r\n'):
-        raise DataError(f"header names may not hold a comma, a quote or a line break: {headers}")
+def save_csv(samples: SampleSet, path: str):
+    """Write a SampleSet as comma-separated UTF-8 under its default
+    headers, with 17-digit floats and csv's \\r\\n line ends."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         np.savetxt(
             fh, samples.data, fmt="%.17g", delimiter=",", newline="\r\n",
-            header=",".join(headers), comments="",
+            header=",".join(default_headers(samples.dims)), comments="",
         )
 
 

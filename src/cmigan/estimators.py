@@ -169,6 +169,8 @@ class EstimatorConfig:
             raise ValueError("reg_training_ratio must be positive")
         if self.runs < 1:
             raise ValueError("runs must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.eval_passes < 1:
             raise ValueError("eval_passes must be positive")
         if self.noise_dim is not None and self.noise_dim < 1:

@@ -452,12 +452,14 @@ def gradient_check(
     the central difference never straddles a non-smooth point.
 
     ``backward_fn`` exists for fault injection in tests; it defaults to
-    :func:`mlp_backward`. A check needs ``num_nets >= 1`` and a finite,
-    positive ``h`` and ``tol``; any error that is not below ``tol``,
-    NaN included, is a failure.
+    :func:`mlp_backward`. A check needs ``num_nets >= 1``, a non-negative
+    ``seed`` and a finite, positive ``h`` and ``tol``; any error that is
+    not below ``tol``, NaN included, is a failure.
     """
     if num_nets < 1:
         raise ValueError(f"num_nets must be at least 1, got {num_nets}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     for name, value in (("h", h), ("tol", tol)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")

@@ -8,6 +8,8 @@ import pytest
 
 from cmigan import cli
 from cmigan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from cmigan.datagen import gen_cit
+from cmigan.dataio import ManifestEntry, save_csv, write_manifest
 
 from oracle_tools import hex_floats
 
@@ -505,3 +507,75 @@ class TestParser:
             main(["frobnicate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+_DATAGEN = ["datagen", "--out", "{tmp}/d.csv", "--model"]
+_KSG_ON_MODEL = ["estimate", "--estimator", "ksg", "--model", "linear1", "--n", "50"]
+_CITEST = ["citest", "--manifest", "{tmp}/manifest.json", "--estimator", "ksg"]
+_BENCH = ["bench", "--outdir", "{tmp}/suite", "--n", "100"]
+_NEGATIVE_SEED = "seed must be non-negative, got -1"
+_NO_DATASETS = "--n-ci and --n-cd must be non-negative and not both 0"
+
+# each row: an id, the argv after "-q", where "{tmp}" stands for the test's
+# directory, CMIGAN_SEED (None leaves it unset), the exit code and text
+# the log must hold; {tmp} holds ci.csv, cd.csv and manifest.json
+_EXIT_CODES = [
+    ("datagen-negative-seed", [*_DATAGEN, "linear1", "--n", "10", "--seed", "-1"],
+     None, EXIT_USAGE, _NEGATIVE_SEED),
+    ("datagen-n-0", [*_DATAGEN, "gauss", "--rho", "0.5", "--n", "0"],
+     None, EXIT_USAGE, "n must be positive"),
+    ("ksg-negative-seed", [*_KSG_ON_MODEL, "--seed", "-1"], None, EXIT_USAGE, _NEGATIVE_SEED),
+    ("ksg-negative-env-seed", _KSG_ON_MODEL, "-1", EXIT_USAGE, _NEGATIVE_SEED),
+    ("ksg-negative-data-seed", [*_KSG_ON_MODEL, "--data-seed", "-1"],
+     None, EXIT_USAGE, _NEGATIVE_SEED),
+    ("cmigan-negative-seed", ["estimate", "--estimator", "cmigan", "--model", "linear1",
+                              "--n", "100", *TINY_NET, "--jobs", "1", "--seed", "-1"],
+     None, EXIT_USAGE, _NEGATIVE_SEED),
+    ("negative-shuffle-seed", ["estimate", "--estimator", "ksg", "--data", "{tmp}/ci.csv",
+                               "--dims", "1,1,1", "--shuffle-seed", "-1"],
+     None, EXIT_USAGE, "shuffle_seed must be non-negative, got -1"),
+    ("ksg-k-0", [*_KSG_ON_MODEL, "--k", "0"], None, EXIT_USAGE, "k must be a positive integer"),
+    ("runs-0", [*_KSG_ON_MODEL, "--runs", "0"], None, EXIT_USAGE, "runs must be positive"),
+    ("jobs-0", [*_KSG_ON_MODEL, "--jobs", "0"], None, EXIT_USAGE, "--jobs"),
+    ("gradcheck-negative-seed", ["gradcheck", "--nets", "1", "--seed", "-1"],
+     None, EXIT_USAGE, _NEGATIVE_SEED),
+    ("gradcheck-h-0", ["gradcheck", "--nets", "1", "--h", "0"],
+     None, EXIT_USAGE, "h must be positive and finite"),
+    ("bench-negative-n-ci", [*_BENCH, "--n-ci", "-3", "--n-cd", "2"],
+     None, EXIT_USAGE, _NO_DATASETS),
+    ("bench-no-datasets", [*_BENCH, "--n-ci", "0", "--n-cd", "0"], None, EXIT_USAGE, _NO_DATASETS),
+    ("citest-nan-threshold", [*_CITEST, "--threshold", "nan"],
+     None, EXIT_USAGE, "threshold must be finite, got nan"),
+    ("citest-inf-threshold", [*_CITEST, "--threshold", "inf"],
+     None, EXIT_USAGE, "threshold must be finite, got inf"),
+    ("missing-manifest", ["citest", "--manifest", "{tmp}/none.json", "--estimator", "ksg"],
+     None, EXIT_DATA, "no such manifest"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed, code, message", [row[1:] for row in _EXIT_CODES],
+    ids=[row[0] for row in _EXIT_CODES],
+)
+def test_exit_codes(tmp_path, capsys, caplog, monkeypatch, argv, env_seed, code, message):
+    entries = []
+    for name, dependent in (("ci.csv", False), ("cd.csv", True)):
+        samples, _, label = gen_cit(200, 1, dependent, seed=0)
+        save_csv(samples, str(tmp_path / name))
+        entries.append(ManifestEntry(name, label, samples.dims))
+    write_manifest(str(tmp_path / "manifest.json"), entries)
+    if env_seed is None:
+        monkeypatch.delenv("CMIGAN_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CMIGAN_SEED", env_seed)
+    try:
+        got = main(["-q", *(arg.replace("{tmp}", str(tmp_path)) for arg in argv)])
+    except SystemExit as exc:  # argparse's own usage errors
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert message in caplog.text + captured.err
+    # a rejected bench writes nothing
+    assert not (tmp_path / "suite").exists()

@@ -199,10 +199,21 @@ def test_quadrature_matches_closed_form():
     assert linear1_cmi_quadrature() == pytest.approx(0.5 * math.log(101.0), abs=1e-3)
 
 
+# every generator as (n, block size, seed)
+_BY_SIZE = [
+    gen_linear1, gen_linear2, gen_linear3, gen_nonlinear,
+    lambda n, size, seed: gen_cit(n, size, True, seed),
+    lambda n, size, seed: gen_gauss(n, size, 0.5, seed),
+]
+
+
 def test_invalid_inputs():
-    with pytest.raises(ValueError):
-        gen_linear1(0, 1, seed=0)
-    with pytest.raises(ValueError):
-        gen_linear3(100, 0, seed=0)
+    for gen in _BY_SIZE:
+        with pytest.raises(ValueError, match="n must be positive"):
+            gen(0, 1, seed=0)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            gen(100, 0, seed=0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            gen(100, 1, seed=-1)
     with pytest.raises(ValueError):
         ModelParams(model="unknown", n=10, dx=1, dy=1, dz=1, seed=0)

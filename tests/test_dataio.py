@@ -51,20 +51,6 @@ def test_default_headers():
     assert default_headers((2, 1, 3)) == ["x0", "x1", "y0", "z0", "z1", "z2"]
 
 
-def test_header_count_must_match(tmp_path):
-    s, _ = gen_linear1(10, 1, seed=0)
-    with pytest.raises(DataError):
-        save_csv(s, str(tmp_path / "bad.csv"), header_names=["a", "b"])
-
-
-@pytest.mark.parametrize("name", ["a,b", 'say "a"', "a\nb", "a\rb"])
-def test_header_name_needing_csv_quotes_rejected(tmp_path, name):
-    # written unquoted, such a name would split or end the header row
-    s = SampleSet(np.zeros((2, 2)), (1, 1, 0))
-    with pytest.raises(DataError, match="header names"):
-        save_csv(s, str(tmp_path / "quoted.csv"), header_names=[name, "y"])
-
-
 def test_column_selection_by_name_and_index(tmp_path):
     path = str(tmp_path / "t.csv")
     with open(path, "w", encoding="utf-8") as fh:
