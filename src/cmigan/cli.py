@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .citest import DEFAULT_THRESHOLD, run_cit_benchmark
-from .datagen import MODEL_IDS, gen_cit, generate, true_cmi
+from .datagen import _MODELS, MODEL_IDS, gen_cit, generate, true_cmi
 from .dataio import (
     ColumnMapping,
     DataError,
@@ -72,6 +72,13 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
+def _threshold(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"threshold must be finite, got {value}")
+    return value
+
+
 def _cols(text: str | None) -> list:
     if text is None:
         return []
@@ -91,6 +98,16 @@ def _estimator_config(args, seed: int) -> EstimatorConfig:
         seed=seed, standardize=not args.no_standardize, record_trace=args.trace is not None
     )
     return dataclasses.replace(base, **overrides)
+
+
+def _check_model_flags(args):
+    """Reject a --dz, --d or --rho given for a model that does not take
+    it, rather than generate data that ignores the flag."""
+    takes = _MODELS[args.model][1]
+    for name in ("dz", "d", "rho"):
+        if getattr(args, name) is not None and name not in takes:
+            flags = ", ".join(f"--{arg}" for arg in takes if arg != "dependent")
+            raise ValueError(f"--{name} does not apply to the {args.model} model, which takes {flags}")
 
 
 def _dataset_spec_from_args(args) -> dict:
@@ -122,6 +139,7 @@ def _dataset_spec_from_args(args) -> dict:
             "shuffle_seed": args.shuffle_seed,
         }
     if args.model is not None:
+        _check_model_flags(args)
         return {
             "kind": "model",
             "model": args.model,
@@ -202,6 +220,7 @@ def _write_trace(path: str, report_dict: dict, seed: int):
 
 def cmd_datagen(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    _check_model_flags(args)
     samples, params, label = generate(
         args.model, args.n, seed, dz=args.dz, d=args.d, rho=args.rho, dependent=args.dependent
     )
@@ -461,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("citest", help="run a manifest of labeled datasets through a CI test")
     p.add_argument("--manifest", required=True, metavar="JSON")
     p.add_argument("--estimator", choices=ESTIMATOR_IDS, required=True)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+    p.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD,
                    help="decision threshold in nats (strict >)")
     _add_estimator_flags(p)
     p.set_defaults(func=cmd_citest)
@@ -482,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5000)
     p.add_argument("--suite-seed", type=int, default=0, help="dataset i uses suite-seed+i")
     p.add_argument("--estimator", choices=ESTIMATOR_IDS, default="ksg")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD)
     p.add_argument("--generate-only", action="store_true")
     _add_estimator_flags(p)
     p.set_defaults(func=cmd_bench)

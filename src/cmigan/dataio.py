@@ -12,6 +12,7 @@ round trip is bit-exact.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -99,6 +100,41 @@ def _parse_cell(text: str, decimal_comma: bool) -> float | None:
     return value
 
 
+def _parse_cells(reader, wanted: list[int], decimal_comma: bool) -> tuple[np.ndarray, int]:
+    """(kept rows, source row count) of csv ``reader``'s rows, cell by cell."""
+    rows = []
+    source_rows = 0
+    for row in reader:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        source_rows += 1
+        if max(wanted) >= len(row):
+            continue  # short row: counts as dropped
+        vals = [_parse_cell(row[i], decimal_comma) for i in wanted]
+        if any(v is None for v in vals):
+            continue
+        rows.append(vals)
+    return np.asarray(rows, dtype=np.float64), source_rows
+
+
+def _parse_comma_body(body: str, wanted: list[int]) -> tuple[np.ndarray, int]:
+    """(kept rows, source row count) of the comma-separated lines ``body``
+    in one numpy parse, equal bit for bit to :func:`_parse_cells`.
+
+    Raises ValueError where the two could differ: a blank, short or
+    non-numeric cell, a whitespace-only line, a lone carriage return, a
+    body without rows, or a quote character (csv unquotes a cell and
+    keeps the commas inside it).
+    """
+    if '"' in body or not body.strip():
+        raise ValueError("quoted cells or no rows")
+    data = np.loadtxt(
+        io.StringIO(body), delimiter=",", usecols=wanted, ndmin=2, comments=None, dtype=np.float64
+    )
+    keep = np.isfinite(data).all(axis=1) & (data != MISSING_SENTINEL).all(axis=1)
+    return data[keep], len(data)
+
+
 def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False, whole_header: bool = False) -> LoadedCsv:
     """Read a header-ed CSV into a SampleSet with columns [x|y|z].
 
@@ -107,6 +143,8 @@ def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False, whole_h
     name as many columns as the header has.
     Rows with any missing mapped cell (empty, non-numeric, the -200
     sentinel, or non-finite) are dropped and counted.
+    A well-formed comma file is parsed in one numpy call; any other file
+    falls back to parsing cell by cell, with the same result.
     """
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
@@ -129,31 +167,27 @@ def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False, whole_h
                 for cols in (mapping.x_cols, mapping.y_cols, mapping.z_cols)
             ]
             wanted = idx[0] + idx[1] + idx[2]
-            rows = []
-            source_rows = 0
-            for row in reader:
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                source_rows += 1
-                if max(wanted) >= len(row):
-                    continue  # short row: counts as dropped
-                vals = [_parse_cell(row[i], semicolon) for i in wanted]
-                if any(v is None for v in vals):
-                    continue
-                rows.append(vals)
+            if semicolon:
+                data, source_rows = _parse_cells(reader, wanted, decimal_comma=True)
+            else:
+                body = fh.read()
+                try:
+                    data, source_rows = _parse_comma_body(body, wanted)
+                except ValueError:
+                    reader = csv.reader(io.StringIO(body, newline=""))
+                    data, source_rows = _parse_cells(reader, wanted, decimal_comma=False)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not valid UTF-8: {exc}") from None
 
-    if not rows:
+    if not len(data):
         raise DataError(f"{path}: no usable rows after dropping missing data")
-    data = np.asarray(rows, dtype=np.float64)
     if mapping.shuffle_seed is not None:
         perm = np.random.default_rng(mapping.shuffle_seed).permutation(len(data))
         data = data[perm]
     return LoadedCsv(
         samples=SampleSet(data, dims),
-        dropped_rows=source_rows - len(rows),
-        kept_rows=len(rows),
+        dropped_rows=source_rows - len(data),
+        kept_rows=len(data),
         source_rows=source_rows,
     )
 

@@ -14,15 +14,21 @@ the final number. Chebyshev distances are maxima of absolute
 differences, hence exact floats whatever the traversal, and the counts
 are integers, so neither the thread count nor the tree shape can move
 an estimate.
+
+``import cmigan`` loads numpy only. ``scipy.spatial.cKDTree`` and
+``scipy.special.digamma``, which take about 0.4 s to import on a 2-vCPU
+Xeon, load on the first KSG call, or on the first read of
+``cmigan.knn.cKDTree`` or ``cmigan.knn.digamma``. The KSG code reads both
+names from this module when it runs, so a value set on the module (a
+test's subclass, a tracer's wrapper) is the one it calls.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 # fraction of the estimator's ceiling psi(n) - psi(k) above which the
 # estimate is flagged as saturated (near-deterministic relation)
@@ -40,6 +46,25 @@ _MARGINAL_LEAFSIZE = 128
 # make some eps_i zero, which would otherwise put psi at an invalid argument
 _JITTER_SCALE = 1e-10
 _JITTER_SEED = 0
+
+# the scipy names bound on first use, and the module each comes from
+_SCIPY_NAMES = {"cKDTree": "scipy.spatial", "digamma": "scipy.special"}
+
+
+def _load_scipy():
+    """Bind each name of :data:`_SCIPY_NAMES` not already set on this module."""
+    names = globals()
+    for name, module in _SCIPY_NAMES.items():
+        if name not in names:
+            names[name] = getattr(importlib.import_module(module), name)
+
+
+def __getattr__(name):
+    # PEP 562: called only for names missing from the module
+    if name in _SCIPY_NAMES:
+        _load_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +130,7 @@ def _neighbor_stats_kdtree(x: np.ndarray, y: np.ndarray, k: int):
     integers, so ``(eps, nx, ny)`` are bitwise the same for any thread
     count or leaf size.
     """
+    _load_scipy()
     joint = np.hstack([x, y])
     tree = cKDTree(joint)
     dist, _ = tree.query(joint, k=[k + 1], p=np.inf, workers=-1)
@@ -169,6 +195,7 @@ def ksg_mi_bruteforce(x, y, k: int = 5) -> float:
     eps, nx, ny = _neighbor_stats_bruteforce(x, y, k)
     if np.any(eps == 0.0):
         raise ValueError("duplicate points; jitter before calling the reference")
+    _load_scipy()
     terms = np.sort(digamma(nx + 1) + digamma(ny + 1))
     return float(digamma(k) + digamma(n) - np.mean(terms))
 

@@ -544,6 +544,23 @@ _EXIT_CODES = [
     ("bench-negative-n-ci", [*_BENCH, "--n-ci", "-3", "--n-cd", "2"],
      None, EXIT_USAGE, _NO_DATASETS),
     ("bench-no-datasets", [*_BENCH, "--n-ci", "0", "--n-cd", "0"], None, EXIT_USAGE, _NO_DATASETS),
+    ("bench-nan-threshold", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--threshold", "nan"],
+     None, EXIT_USAGE, "threshold must be finite, got nan"),
+    ("bench-generate-only-nan-threshold",
+     [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--threshold", "nan", "--generate-only"],
+     None, EXIT_USAGE, "threshold must be finite, got nan"),
+    ("datagen-dz-on-linear3", [*_DATAGEN, "linear3", "--dz", "5", "--n", "10"],
+     None, EXIT_USAGE, "--dz does not apply to the linear3 model, which takes --d"),
+    ("datagen-d-on-linear1", [*_DATAGEN, "linear1", "--d", "2", "--n", "10"],
+     None, EXIT_USAGE, "--d does not apply to the linear1 model, which takes --dz"),
+    ("datagen-rho-on-cit", [*_DATAGEN, "cit", "--rho", "0.5", "--n", "10"],
+     None, EXIT_USAGE, "--rho does not apply to the cit model, which takes --dz"),
+    ("estimate-d-on-nonlinear", [*_KSG_ON_MODEL[:4], "nonlinear", "--n", "50", "--d", "2"],
+     None, EXIT_USAGE, "--d does not apply to the nonlinear model, which takes --dz"),
+    ("estimate-dz-on-gauss", [*_KSG_ON_MODEL[:4], "gauss", "--n", "50", "--rho", "0.5", "--dz", "1"],
+     None, EXIT_USAGE, "--dz does not apply to the gauss model, which takes --d, --rho"),
+    ("estimate-rho-on-linear1", [*_KSG_ON_MODEL, "--rho", "0.5"],
+     None, EXIT_USAGE, "--rho does not apply to the linear1 model, which takes --dz"),
     ("citest-nan-threshold", [*_CITEST, "--threshold", "nan"],
      None, EXIT_USAGE, "threshold must be finite, got nan"),
     ("citest-inf-threshold", [*_CITEST, "--threshold", "inf"],
@@ -577,5 +594,6 @@ def test_exit_codes(tmp_path, capsys, caplog, monkeypatch, argv, env_seed, code,
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert message in caplog.text + captured.err
-    # a rejected bench writes nothing
+    # a rejected bench or datagen writes nothing
     assert not (tmp_path / "suite").exists()
+    assert not (tmp_path / "d.csv").exists()

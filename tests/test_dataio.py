@@ -1,10 +1,17 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cmigan.dataio import (
     ColumnMapping,
     DataError,
     ManifestEntry,
+    _parse_cells,
+    _parse_comma_body,
     default_headers,
     load_csv,
     read_manifest,
@@ -210,3 +217,110 @@ def test_seventeen_digit_precision(tmp_path):
     save_csv(s, path)
     loaded = load_csv(path, ColumnMapping(x_cols=["x0"], y_cols=["y0"]))
     assert np.array_equal(loaded.samples.data, data)
+
+
+def _check_parsers_agree(tmp_path, body: str, wanted: list, line_end: str = "\r\n") -> bool:
+    """Assert that the one-call numpy parse of ``body``, where it accepts
+    it, and load_csv of a file "a,b,c,d" + ``body`` both give the per-cell
+    parser's data bits and row counts. Returns whether numpy accepted."""
+    cells, source = _parse_cells(csv.reader(io.StringIO(body, newline="")), wanted, False)
+    cells = cells.reshape(-1, len(wanted))
+    try:
+        fast, fast_source = _parse_comma_body(body, wanted)
+    except ValueError:
+        fast = None
+    else:
+        assert fast_source == source
+        assert fast.shape == cells.shape
+        assert np.array_equal(fast.view(np.int64), cells.view(np.int64))
+    path = tmp_path / "parity.csv"
+    path.write_bytes(("a,b,c,d" + line_end + body).encode("utf-8"))
+    mapping = ColumnMapping(x_cols=wanted[:1], y_cols=wanted[1:2], z_cols=wanted[2:])
+    if not len(cells):
+        with pytest.raises(DataError, match="no usable rows"):
+            load_csv(str(path), mapping)
+    else:
+        loaded = load_csv(str(path), mapping)
+        assert loaded.samples.data.shape == cells.shape
+        assert np.array_equal(loaded.samples.data.view(np.int64), cells.view(np.int64))
+        counts = (loaded.kept_rows, loaded.dropped_rows, loaded.source_rows)
+        assert counts == (len(cells), source - len(cells), source)
+    return fast is not None
+
+
+# each case: an id, the lines after the header, the mapped columns, and
+# whether the numpy parse accepts the lines
+_PARSE_CASES = [
+    ("float17", "-0,4.9406564584124654e-324,10000000000000000\r\n"
+                "0.10000000000000001,-2.5,1.7976931348623157e+308\r\n", [0, 1, 2], True),
+    ("padded-whitespace", " 1.5 ,\t2,3\u2003, 4\r\n", [0, 1, 2, 3], True),
+    ("extra-columns", "1,2,3,4,5,6\n7,8,9,10\n", [0, 1], True),
+    ("repeated-column", "1,2,3\n", [2, 0, 2], True),
+    ("non-finite", "nan,1,2\ninf,1,2\n-Infinity,1,2\n1e999,1,2\n1,2,3\n", [0, 1, 2], True),
+    ("sentinel", "-200,1,2\n1,-2e2,2\n1,2,-200.0\n1,2,3\n", [0, 1, 2], True),
+    ("sentinel-outside-mapping", "1,2,-200\n", [0, 1], True),
+    ("blank-lines", "1,2,3\n\n\r\n4,5,6\n", [0, 1, 2], True),
+    ("lf", "1,2,3\n4,5,6\n", [0, 1, 2], True),
+    ("crlf", "1,2,3\r\n4,5,6\r\n", [0, 1, 2], True),
+    ("no-final-line-end", "1,2,3\r\n4,5,6", [0, 1, 2], True),
+    ("all-dropped", "-200,1,2\nnan,1,2\n", [0, 1, 2], True),
+    ("blank-cell", "1,,3\n4,5,6\n", [0, 1, 2], False),
+    ("blank-cell-outside-mapping", "1,2,\n", [0, 1], True),
+    ("whitespace-cell", "1,  ,3\n", [0, 1, 2], False),
+    ("junk", "1,abc,3\n4,5,6\n", [0, 1, 2], False),
+    ("underscore", "1_0,2,3\n", [0, 1, 2], False),
+    ("arabic-indic-digit", "\u0663,2,3\n", [0, 1, 2], False),
+    ("quoted", '"1",2,3\n4,5,6\n', [0, 1, 2], False),
+    ("quoted-comma-outside-mapping", '"7,8",1,2,3\n', [2, 3], False),
+    ("short-row", "1,2,3\n4\n", [0, 1], False),
+    ("comment-line", "# note\n1,2,3\n", [0, 1, 2], False),
+    ("whitespace-line", "1,2,3\n   \n4,5,6\n", [0, 1, 2], False),
+    ("comma-only-line", "1,2,3\n,,,\n", [0, 1, 2], False),
+    ("lone-cr", "1,2,3\r4,5,6\r", [0, 1, 2], False),
+    ("no-rows", "", [0, 1, 2], False),
+]
+
+
+@pytest.mark.parametrize(
+    "body, wanted, fast", [case[1:] for case in _PARSE_CASES], ids=[case[0] for case in _PARSE_CASES]
+)
+def test_numpy_and_cell_parsers_agree(tmp_path, body, wanted, fast):
+    assert _check_parsers_agree(tmp_path, body, wanted) == fast
+
+
+_NUMBER = st.floats().map(lambda v: "%.17g" % v)
+_PAD = st.sampled_from(["", " ", "\t", "\u2003", "\xa0"])
+_CLEAN_CELL = st.one_of(
+    _NUMBER, st.tuples(_PAD, _NUMBER, _PAD).map("".join), st.sampled_from(["-200", "nan", "inf"])
+)
+_DIRTY_CELL = st.one_of(
+    st.sampled_from(["", "  ", "abc", "1_0", "\u0663", "#", '"', '"a"b']),
+    _NUMBER.map(lambda t: f'"{t}"'),
+    st.tuples(_NUMBER, _NUMBER).map(lambda t: f'"{t[0]},{t[1]}"'),
+)
+_CLEAN_ROW = st.lists(_CLEAN_CELL, min_size=4, max_size=6)
+# one dirty cell in an otherwise clean row, so that a misread of it alone
+# would change the result
+_DIRTY_ROW = st.builds(
+    lambda row, i, cell: row[:i] + [cell] + row[i:], _CLEAN_ROW, st.integers(0, 6), _DIRTY_CELL
+)
+_SHORT_ROW = st.lists(_CLEAN_CELL, min_size=1, max_size=3)
+# mostly clean lines, so that one odd line decides which parser runs
+_LINE = st.one_of(
+    *[_CLEAN_ROW.map(",".join)] * 4,
+    st.one_of(
+        _DIRTY_ROW.map(",".join), _SHORT_ROW.map(",".join),
+        st.sampled_from(["", "   ", "# note", ",,,"]),
+    ),
+)
+_LINE_END = st.sampled_from(["\n", "\r\n"])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=st.lists(st.tuples(_LINE, _LINE_END), max_size=8),
+    wanted=st.sampled_from([[0, 1], [0, 1, 2], [2, 3], [3, 1], [2, 0, 2], [0, 1, 2, 3]]),
+    line_end=_LINE_END,
+)
+def test_numpy_and_cell_parsers_agree_on_generated_files(tmp_path, lines, wanted, line_end):
+    _check_parsers_agree(tmp_path, "".join(line + end for line, end in lines), wanted, line_end)

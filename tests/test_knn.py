@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cmigan.knn
 from cmigan.knn import (
     KSGConfig,
     _neighbor_stats_bruteforce,
@@ -81,6 +86,43 @@ def test_thread_count_does_not_change_results(monkeypatch):
     assert calls.count("query") == 2 and calls.count("query_ball_point") == 4
     assert serial.value.hex() == default.value.hex()
     assert (serial.jitter_applied, serial.saturated) == (default.jitter_applied, default.saturated)
+
+
+def test_digamma_is_read_from_the_module_at_call_time(monkeypatch):
+    # a tracer times digamma by setting cmigan.knn.digamma
+    x, y = _correlated_pair(300, 0.6, seed=2)
+    z = np.random.default_rng(5).standard_normal((300, 2))
+    default = ksg_cmi_result(x, y, z)
+    digamma = cmigan.knn.digamma
+    calls = []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return digamma(a)
+
+    monkeypatch.setattr(cmigan.knn, "digamma", counting)
+    patched = ksg_cmi_result(x, y, z)
+    # per MI term: psi(nx + 1), psi(ny + 1), psi(k), psi(n), and the
+    # ceiling's psi(n), psi(k)
+    assert calls == [(300,), (300,), (), (), (), ()] * 2
+    assert patched.value.hex() == default.value.hex()
+
+
+def test_scipy_loads_on_first_call_and_keeps_names_already_set():
+    code = (
+        "import sys, numpy as np, cmigan.knn as knn\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])\n"
+        "knn.digamma = lambda a: np.zeros(np.shape(a))\n"
+        "rng = np.random.default_rng(0)\n"
+        "print(knn.ksg_mi(rng.standard_normal(50), rng.standard_normal(50)))\n"
+        "print('scipy.spatial' in sys.modules, knn.cKDTree.__module__)\n"
+    )
+    src = str(Path(cmigan.knn.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split("\n") == ["[]", "0.0", "True scipy.spatial._ckdtree", ""]
 
 
 def test_golden_estimates_bitwise():
