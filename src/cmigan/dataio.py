@@ -145,15 +145,16 @@ def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False, whole_h
     sentinel, or non-finite) are dropped and counted.
     A well-formed comma file is parsed in one numpy call; any other file
     falls back to parsing cell by cell, with the same result.
+    A malformed quote or an over-long cell is a DataError naming its line.
     """
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
     if os.path.getsize(path) > MAX_CSV_BYTES:
         raise DataError(f"{path} exceeds the {MAX_CSV_BYTES} byte limit")
-    delimiter = ";" if semicolon else ","
+    header_lines = 0  # lines read before ``reader``'s first, for error messages
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
+            reader = csv.reader(fh, delimiter=";" if semicolon else ",", strict=True)
             try:
                 header = next(reader)
             except StopIteration:
@@ -174,10 +175,14 @@ def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False, whole_h
                 try:
                     data, source_rows = _parse_comma_body(body, wanted)
                 except ValueError:
-                    reader = csv.reader(io.StringIO(body, newline=""))
+                    header_lines = reader.line_num
+                    reader = csv.reader(io.StringIO(body, newline=""), strict=True)
                     data, source_rows = _parse_cells(reader, wanted, decimal_comma=False)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not valid UTF-8: {exc}") from None
+    except csv.Error as exc:
+        # a malformed quote, or a cell longer than csv's field size limit
+        raise DataError(f"{path}: line {header_lines + reader.line_num}: {exc}") from None
 
     if not len(data):
         raise DataError(f"{path}: no usable rows after dropping missing data")
@@ -233,14 +238,22 @@ def read_sidecar(path: str) -> tuple[ModelParams, float | None]:
 
 @dataclass
 class ManifestEntry:
+    """A labeled CSV, its path relative to the manifest or absolute, and its [x|y|z] dims."""
+
     csv: str
     label: str
     dims: tuple[int, int, int]
 
     def __post_init__(self):
+        if not isinstance(self.csv, str) or not self.csv:
+            raise DataError(f"manifest csv must be a non-empty string, got {self.csv!r}")
         if self.label not in ("CI", "CD"):
             raise DataError(f"manifest label must be CI or CD, got {self.label!r}")
-        self.dims = tuple(int(d) for d in self.dims)
+        dims = self.dims
+        ints = isinstance(dims, (list, tuple)) and all(type(d) is int for d in dims)
+        if not (ints and len(dims) == 3 and min(dims[:2]) >= 1 and dims[2] >= 0):
+            raise DataError(f"manifest dims must be ints [dx, dy, dz], dx, dy >= 1, dz >= 0, got {dims!r}")
+        self.dims = tuple(dims)
 
 
 def write_manifest(path: str, entries: list[ManifestEntry]):
@@ -257,12 +270,12 @@ def read_manifest(path: str) -> list[ManifestEntry]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path} is not valid JSON: {exc}") from None
-    if "datasets" not in doc or not isinstance(doc["datasets"], list):
+    if not isinstance(doc, dict) or not isinstance(doc.get("datasets"), list):
         raise DataError(f"{path} must contain a 'datasets' list")
     out = []
     for i, entry in enumerate(doc["datasets"]):
         try:
-            out.append(ManifestEntry(entry["csv"], entry["label"], tuple(entry["dims"])))
-        except (KeyError, TypeError) as exc:
+            out.append(ManifestEntry(entry["csv"], entry["label"], entry["dims"]))
+        except (KeyError, TypeError, DataError) as exc:
             raise DataError(f"{path}: malformed dataset entry {i}: {exc}") from None
     return out

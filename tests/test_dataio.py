@@ -1,5 +1,7 @@
 import csv
 import io
+import json
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +164,22 @@ def test_error_cases(tmp_path):
         ColumnMapping(x_cols=[], y_cols=["y0"])
 
 
+@pytest.mark.parametrize("text, semicolon, error", [
+    ('a,b,c\n"' + "x" * 200_000 + '",2,3\n4,5,6\n', False,
+     "line 2: field larger than field limit (131072)"),
+    # a lax reader lets the open quote swallow the last two rows
+    ('a,b,c\n1,2,3\n4,",6\n7,8,9\n10,11,12\n', False, "line 5: unexpected end of data"),
+    ('a;b;c\n1;2;3\n4;";6\n7;8;9\n', True, "line 4: unexpected end of data"),
+    # a lax reader reads the first cell as 12
+    ('a,b,c\n"1"2,3,4\n5,6,7\n', False, "line 2: ',' expected after '\"'"),
+], ids=["cell-over-field-limit", "open-quote", "semicolon-open-quote", "text-after-quote"])
+def test_bad_quoting_is_data_error(tmp_path, text, semicolon, error):
+    path = tmp_path / "q.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: {error}")):
+        load_csv(str(path), ColumnMapping.from_dims((1, 1, 1)), semicolon=semicolon)
+
+
 def test_sidecar_round_trip(tmp_path):
     s, params = gen_linear1(50, 3, seed=9)
     csv_path = str(tmp_path / "d.csv")
@@ -202,10 +220,36 @@ def test_manifest_errors(tmp_path):
     nolist.write_text('{"datasets": 3}')
     with pytest.raises(DataError):
         read_manifest(str(nolist))
+    number = tmp_path / "number.json"
+    number.write_text("5")
+    with pytest.raises(DataError, match="must contain a 'datasets' list"):
+        read_manifest(str(number))
     malformed = tmp_path / "mal.json"
     malformed.write_text('{"datasets": [{"csv": "a.csv"}]}')
     with pytest.raises(DataError):
         read_manifest(str(malformed))
+
+
+@pytest.mark.parametrize("entry, error", [
+    ({"csv": 5, "label": "CI", "dims": [1, 1, 1]}, "csv must be a non-empty string, got 5"),
+    ({"csv": None, "label": "CI", "dims": [1, 1, 1]}, "csv must be a non-empty string, got None"),
+    ({"csv": "", "label": "CI", "dims": [1, 1, 1]}, "csv must be a non-empty string, got ''"),
+    ({"csv": "a.csv", "label": "CI", "dims": [1, 1]}, "got [1, 1]"),
+    ({"csv": "a.csv", "label": "CI", "dims": ["a", 1, 1]}, "got ['a', 1, 1]"),
+    ({"csv": "a.csv", "label": "CI", "dims": "111"}, "got '111'"),
+    ({"csv": "a.csv", "label": "CI", "dims": [0, 1, 1]}, "got [0, 1, 1]"),
+    ({"csv": "a.csv", "label": "CI", "dims": [1, 1, -1]}, "got [1, 1, -1]"),
+    ({"csv": "a.csv", "label": "CI", "dims": [1, True, 1]}, "got [1, True, 1]"),
+    ({"csv": "a.csv", "label": "maybe", "dims": [1, 1, 1]}, "label must be CI or CD"),
+    (5, "'int' object is not subscriptable"),
+], ids=["numeric-csv", "null-csv", "empty-csv", "two-dims", "string-dim", "string-dims",
+        "zero-dx", "negative-dz", "bool-dim", "bad-label", "non-object"])
+def test_malformed_manifest_entry_names_it(tmp_path, entry, error):
+    path = tmp_path / "m.json"
+    good = {"csv": "b.csv", "label": "CD", "dims": [1, 1, 1]}
+    path.write_text(json.dumps({"datasets": [good, entry]}), encoding="utf-8")
+    with pytest.raises(DataError, match=r"malformed dataset entry 1: .*" + re.escape(error)):
+        read_manifest(str(path))
 
 
 def test_seventeen_digit_precision(tmp_path):
@@ -222,8 +266,23 @@ def test_seventeen_digit_precision(tmp_path):
 def _check_parsers_agree(tmp_path, body: str, wanted: list, line_end: str = "\r\n") -> bool:
     """Assert that the one-call numpy parse of ``body``, where it accepts
     it, and load_csv of a file "a,b,c,d" + ``body`` both give the per-cell
-    parser's data bits and row counts. Returns whether numpy accepted."""
-    cells, source = _parse_cells(csv.reader(io.StringIO(body, newline="")), wanted, False)
+    parser's data bits and row counts. Where the strict csv reader that
+    load_csv uses rejects ``body``, assert that numpy declines it and
+    that load_csv raises the reader's error as a DataError naming the
+    line. Returns whether numpy accepted."""
+    path = tmp_path / "parity.csv"
+    path.write_bytes(("a,b,c,d" + line_end + body).encode("utf-8"))
+    mapping = ColumnMapping(x_cols=wanted[:1], y_cols=wanted[1:2], z_cols=wanted[2:])
+    reader = csv.reader(io.StringIO(body, newline=""), strict=True)
+    try:
+        cells, source = _parse_cells(reader, wanted, False)
+    except csv.Error as exc:
+        with pytest.raises(ValueError):
+            _parse_comma_body(body, wanted)
+        # the header is line 1
+        with pytest.raises(DataError, match=re.escape(f": line {1 + reader.line_num}: {exc}")):
+            load_csv(str(path), mapping)
+        return False
     cells = cells.reshape(-1, len(wanted))
     try:
         fast, fast_source = _parse_comma_body(body, wanted)
@@ -233,9 +292,6 @@ def _check_parsers_agree(tmp_path, body: str, wanted: list, line_end: str = "\r\
         assert fast_source == source
         assert fast.shape == cells.shape
         assert np.array_equal(fast.view(np.int64), cells.view(np.int64))
-    path = tmp_path / "parity.csv"
-    path.write_bytes(("a,b,c,d" + line_end + body).encode("utf-8"))
-    mapping = ColumnMapping(x_cols=wanted[:1], y_cols=wanted[1:2], z_cols=wanted[2:])
     if not len(cells):
         with pytest.raises(DataError, match="no usable rows"):
             load_csv(str(path), mapping)
