@@ -52,7 +52,10 @@ EXIT_NUMERICAL = 4
 SEED_ENV = "CMIGAN_SEED"
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """``--seed``, else ``$CMIGAN_SEED``, else 0."""
+    if args.seed is not None:
+        return args.seed
     try:
         return int(os.environ.get(SEED_ENV, "0"))
     except ValueError:
@@ -85,7 +88,7 @@ def _cols(text: str | None) -> list:
     return [part.strip() for part in text.split(",") if part.strip() != ""]
 
 
-def _estimator_config(args, seed: int) -> EstimatorConfig:
+def _estimator_config(args, record_trace: bool = False) -> EstimatorConfig:
     """The base config with every given flag applied; each estimator flag's
     ``dest`` names the :class:`EstimatorConfig` field it sets."""
     base = EstimatorConfig.cit_defaults() if args.cit_defaults else EstimatorConfig()
@@ -94,20 +97,27 @@ def _estimator_config(args, seed: int) -> EstimatorConfig:
     for key in ("reg_hidden", "gen_hidden"):
         if key in overrides:
             overrides[key] = tuple(_int_list(overrides[key]))
-    overrides.update(
-        seed=seed, standardize=not args.no_standardize, record_trace=args.trace is not None
-    )
+    overrides.update(seed=_seed(args), standardize=not args.no_standardize, record_trace=record_trace)
     return dataclasses.replace(base, **overrides)
 
 
 def _check_model_flags(args):
-    """Reject a --dz, --d or --rho given for a model that does not take
-    it, rather than generate data that ignores the flag."""
+    """Reject a --dz, --d, --rho, --dependent or --independent given for a
+    model that does not take it, rather than generate data that ignores
+    the flag."""
     takes = _MODELS[args.model][1]
-    for name in ("dz", "d", "rho"):
-        if getattr(args, name) is not None and name not in takes:
+    for name in ("dz", "d", "rho", "dependent"):
+        value = getattr(args, name)
+        if value is not None and name not in takes:
+            flag = "independent" if value is False else name
             flags = ", ".join(f"--{arg}" for arg in takes if arg != "dependent")
-            raise ValueError(f"--{name} does not apply to the {args.model} model, which takes {flags}")
+            raise ValueError(f"--{flag} does not apply to the {args.model} model, which takes {flags}")
+
+
+def _csv_spec(path: str, dims=None, mapping=None, semicolon=False, shuffle_seed=None) -> dict:
+    """The dataset spec of a CSV file split by ``dims`` or by a column ``mapping``."""
+    return dict(kind="csv", path=os.path.abspath(path), dims=dims, mapping=mapping,
+                semicolon=semicolon, shuffle_seed=shuffle_seed)
 
 
 def _dataset_spec_from_args(args) -> dict:
@@ -130,14 +140,7 @@ def _dataset_spec_from_args(args) -> dict:
             dims = None
         else:
             raise ValueError("CSV input needs --dims or --x-cols/--y-cols[/--z-cols]")
-        return {
-            "kind": "csv",
-            "path": os.path.abspath(args.data),
-            "dims": dims,
-            "mapping": mapping,
-            "semicolon": args.semicolon,
-            "shuffle_seed": args.shuffle_seed,
-        }
+        return _csv_spec(args.data, dims, mapping, args.semicolon, args.shuffle_seed)
     if args.model is not None:
         _check_model_flags(args)
         return {
@@ -147,7 +150,7 @@ def _dataset_spec_from_args(args) -> dict:
             "dz": args.dz,
             "d": args.d,
             "rho": args.rho,
-            "dependent": args.dependent,
+            "dependent": bool(args.dependent),
             "seed": args.data_seed,
         }
     raise ValueError("an input is required: --data FILE or --model NAME")
@@ -197,6 +200,11 @@ def _write_json(path: str | None, doc: dict):
     print(text)
 
 
+def _write_report(path: str | None, run_config: dict, report_dict: dict, wall: float):
+    doc = {"run_config": run_config, "report": report_dict, "wall_time_s": wall, "version": __version__}
+    _write_json(path, doc)
+
+
 def _labelled_runs(report_dict: dict, seed: int) -> list:
     """(label, diagnostics) of each successful run in a report, labelled
     by its run index, which is its seed minus the config's ``seed``: "0",
@@ -219,10 +227,9 @@ def _write_trace(path: str, report_dict: dict, seed: int):
 
 
 def cmd_datagen(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     _check_model_flags(args)
     samples, params, label = generate(
-        args.model, args.n, seed, dz=args.dz, d=args.d, rho=args.rho, dependent=args.dependent
+        args.model, args.n, _seed(args), dz=args.dz, d=args.d, rho=args.rho, dependent=args.dependent
     )
     save_csv(samples, args.out)
     truth = true_cmi(params)
@@ -271,12 +278,11 @@ def cmd_estimate(args) -> int:
     if args.config is not None:
         run_config = _replay_config(args.config)
     else:
-        seed = args.seed if args.seed is not None else _default_seed()
         run_config = {
             "command": "estimate",
             "estimator": args.estimator,
             "dataset": _dataset_spec_from_args(args),
-            "estimator_config": _estimator_config(args, seed).to_dict(),
+            "estimator_config": _estimator_config(args, args.trace is not None).to_dict(),
             "ksg": {"k": args.k},
             "threshold": None,
         }
@@ -300,27 +306,28 @@ def cmd_estimate(args) -> int:
     wall = time.monotonic() - start
     log.info("%s done in %.1fs: mean=%s std=%s", estimator, wall, report.mean, report.std)
 
-    doc = {
-        "run_config": run_config,
-        "report": report.to_dict(),
-        "wall_time_s": wall,
-        "version": __version__,
-    }
+    report_dict = report.to_dict()
     if args.trace is not None:
-        _write_trace(args.trace, doc["report"], cfg.seed)
+        _write_trace(args.trace, report_dict, cfg.seed)
     # traces are bulky and already in the CSV; keep the JSON lean
-    for _, run in _labelled_runs(doc["report"], cfg.seed):
+    for _, run in _labelled_runs(report_dict, cfg.seed):
         run.pop("trace", None)
-    _write_json(args.out, doc)
+    _write_report(args.out, run_config, report_dict, wall)
     if not report.per_run or not np.isfinite(report.mean):
         log.error("all %d runs failed", cfg.runs)
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def _score_suite(args, command: str, seed: int, manifest: str, datasets: list, ids: list) -> int:
-    """Score labeled datasets with ``args.estimator`` and write the report."""
-    cfg = _estimator_config(args, seed)
+def _score_manifest(args, command: str, manifest: str) -> int:
+    """Load every dataset ``manifest`` lists, score the suite with
+    ``args.estimator`` and write the report."""
+    cfg = _estimator_config(args)
+    base = os.path.dirname(os.path.abspath(manifest))
+    entries = read_manifest(manifest)
+    datasets = [
+        (_load_dataset(_csv_spec(os.path.join(base, e.csv), list(e.dims))), e.label) for e in entries
+    ]
     run_config = {
         "command": command,
         "estimator": args.estimator,
@@ -331,39 +338,21 @@ def _score_suite(args, command: str, seed: int, manifest: str, datasets: list, i
     }
     start = time.monotonic()
     report = run_cit_benchmark(
-        datasets,
-        args.estimator,
-        cfg,
-        threshold=args.threshold,
-        ksg_config=KSGConfig(k=args.k),
-        ids=ids,
-        jobs=args.jobs,
+        datasets, args.estimator, cfg, threshold=args.threshold, ksg_config=KSGConfig(k=args.k),
+        ids=[e.csv for e in entries], jobs=args.jobs,
     )
     wall = time.monotonic() - start
     log.info("%s done in %.1fs: auroc=%s", command, wall, report.auroc)
-    _write_json(args.out, {
-        "run_config": run_config,
-        "report": report.to_dict(),
-        "wall_time_s": wall,
-        "version": __version__,
-    })
+    _write_report(args.out, run_config, report.to_dict(), wall)
     return EXIT_OK
 
 
 def cmd_citest(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    entries = read_manifest(args.manifest)
-    base = os.path.dirname(os.path.abspath(args.manifest))
-    datasets, ids = [], []
-    for entry in entries:
-        path = entry.csv if os.path.isabs(entry.csv) else os.path.join(base, entry.csv)
-        datasets.append((load_csv(path, ColumnMapping.from_dims(entry.dims)).samples, entry.label))
-        ids.append(entry.csv)
-    return _score_suite(args, "citest", seed, args.manifest, datasets, ids)
+    return _score_manifest(args, "citest", args.manifest)
 
 
 def cmd_gradcheck(args) -> int:
-    report = gradient_check(num_nets=args.nets, seed=args.seed or 0, h=args.h, tol=args.tol)
+    report = gradient_check(num_nets=args.nets, seed=args.seed, h=args.h, tol=args.tol)
     doc = report.to_dict()
     _write_json(args.out, doc)
     if report.passed:
@@ -373,33 +362,36 @@ def cmd_gradcheck(args) -> int:
     return EXIT_NUMERICAL
 
 
-def cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+def _write_suite(args) -> str:
+    """Write the labeled CIT suite that ``args`` describes and return its
+    manifest path. The whole suite is drawn before ``--outdir`` is made,
+    so an argument a generator rejects leaves nothing behind."""
     if min(args.n_ci, args.n_cd) < 0 or args.n_ci + args.n_cd == 0:
         raise ValueError("--n-ci and --n-cd must be non-negative and not both 0")
+    suite = [
+        gen_cit(args.n, args.dz, i >= args.n_ci, args.suite_seed + i)
+        for i in range(args.n_ci + args.n_cd)
+    ]
     os.makedirs(args.outdir, exist_ok=True)
     entries = []
-    datasets = []
-    suite_rng_seed = args.suite_seed
-    for i in range(args.n_ci + args.n_cd):
-        dependent = i >= args.n_ci
-        ds_seed = suite_rng_seed + i
-        samples, params, label = gen_cit(args.n, args.dz, dependent, ds_seed)
+    for i, (samples, params, label) in enumerate(suite):
         name = f"cit_{label.lower()}_{i:03d}.csv"
         path = os.path.join(args.outdir, name)
         save_csv(samples, path)
         write_sidecar(path, params, true_cmi(params))
         entries.append(ManifestEntry(name, label, samples.dims))
-        datasets.append((samples, label))
-    manifest_path = os.path.join(args.outdir, "manifest.json")
-    write_manifest(manifest_path, entries)
-    log.info("wrote %d datasets and %s", len(entries), manifest_path)
-    if args.generate_only:
-        _write_json(None, {"manifest": manifest_path, "datasets": len(entries)})
-        return EXIT_OK
+    manifest = os.path.join(args.outdir, "manifest.json")
+    write_manifest(manifest, entries)
+    log.info("wrote %d datasets and %s", len(entries), manifest)
+    return manifest
 
-    ids = [e.csv for e in entries]
-    return _score_suite(args, "bench", seed, manifest_path, datasets, ids)
+
+def cmd_bench(args) -> int:
+    manifest = _write_suite(args)
+    if args.generate_only:
+        _write_json(None, {"manifest": manifest, "datasets": args.n_ci + args.n_cd})
+        return EXIT_OK
+    return _score_manifest(args, "bench", manifest)
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser):
@@ -429,7 +421,6 @@ def _add_estimator_flags(p: argparse.ArgumentParser):
     p.add_argument("--jobs", type=_jobs, default=None,
                    help="worker processes, one BLAS thread each, over network runs (estimate) "
                         "or datasets (citest, bench); default: the usable CPUs")
-    p.add_argument("--trace", default=None, metavar="CSV", help="write per-step losses here")
     p.add_argument("--out", "-o", default=None, metavar="JSON", help="write the report here")
 
 
@@ -441,8 +432,10 @@ def _add_model_flags(p: argparse.ArgumentParser, required: bool):
     p.add_argument("--d", type=int, default=None, help="per-block dimension (linear3, gauss)")
     p.add_argument("--rho", type=float, default=None, help="pair correlation (gauss)")
     dep = p.add_mutually_exclusive_group()
-    dep.add_argument("--dependent", dest="dependent", action="store_true", default=False)
-    dep.add_argument("--independent", dest="dependent", action="store_false")
+    # None when neither is given, so that a model that takes no label can reject both
+    dep.add_argument("--dependent", dest="dependent", action="store_true", default=None,
+                     help="conditionally dependent data (cit)")
+    dep.add_argument("--independent", dest="dependent", action="store_false", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,6 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-seed", type=int, default=0, help="seed for inline generation")
     p.add_argument("--config", default=None, metavar="JSON",
                    help="replay the run configuration embedded in an earlier report")
+    p.add_argument("--trace", default=None, metavar="CSV", help="write per-step losses here")
     _add_estimator_flags(p)
     p.set_defaults(func=cmd_estimate)
 

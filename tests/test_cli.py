@@ -472,6 +472,48 @@ class TestBenchAndCitest:
         assert doc["run_config"]["command"] == "bench"
         assert len(doc["report"]["entries"]) == 4
 
+    @pytest.mark.parametrize("estimator, flags", [
+        ("ksg", []),
+        ("cmigan", ["--cit-defaults", "--steps", "3", "--batch-size", "64",
+                    "--reg-hidden", "8,4", "--gen-hidden", "8,4", "--eval-passes", "1"]),
+    ], ids=["ksg", "cmigan"])
+    def test_bench_report_equals_citest_on_its_manifest(self, tmp_path, capsys, estimator, flags):
+        # bench scores the files it wrote, through the loader citest uses
+        outdir = str(tmp_path / "suite")
+        bench, cit = str(tmp_path / "bench.json"), str(tmp_path / "cit.json")
+        scoring = ["--estimator", estimator, "--seed", "3", *flags]
+        code = main(["-q", "bench", "--outdir", outdir, "--n-ci", "2", "--n-cd", "2", "--n", "300",
+                     *scoring, "--out", bench])
+        assert code == EXIT_OK
+        manifest = os.path.join(outdir, "manifest.json")
+        assert main(["-q", "citest", "--manifest", manifest, *scoring, "--out", cit]) == EXIT_OK
+        capsys.readouterr()
+        a, b = _read_json(bench), _read_json(cit)
+        assert [e["dataset_id"] for e in a["report"]["entries"]] == [
+            "cit_ci_000.csv", "cit_ci_001.csv", "cit_cd_002.csv", "cit_cd_003.csv"
+        ]
+        assert hex_floats(a["report"]) == hex_floats(b["report"])
+        assert (a["run_config"]["command"], b["run_config"]["command"]) == ("bench", "citest")
+        assert a["run_config"]["manifest"] == b["run_config"]["manifest"]
+
+    def test_citest_threshold_decides_every_entry(self, tmp_path, capsys):
+        outdir = str(tmp_path / "suite")
+        assert main(["-q", "bench", "--outdir", outdir, "--n-ci", "3", "--n-cd", "3",
+                     "--n", "500", "--generate-only"]) == EXIT_OK
+        report_path = str(tmp_path / "cit.json")
+        code = main(["-q", "citest", "--manifest", os.path.join(outdir, "manifest.json"),
+                     "--estimator", "ksg", "--threshold", "0.3", "--out", report_path])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        doc = _read_json(report_path)
+        assert doc["run_config"]["threshold"] == doc["report"]["threshold"] == 0.3
+        entries = doc["report"]["entries"]
+        assert len(entries) == 6
+        for e in entries:
+            assert e["decision"] == ("CD" if e["score"] > 0.3 else "CI")
+        # at the default threshold of 0.01 these would be CD
+        assert any(0.01 < e["score"] <= 0.3 for e in entries)
+
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         code = main([
             "-q", "citest", "--manifest", str(tmp_path / "none.json"),
@@ -515,10 +557,28 @@ _CITEST = ["citest", "--manifest", "{tmp}/manifest.json", "--estimator", "ksg"]
 _BENCH = ["bench", "--outdir", "{tmp}/suite", "--n", "100"]
 _NEGATIVE_SEED = "seed must be non-negative, got -1"
 _NO_DATASETS = "--n-ci and --n-cd must be non-negative and not both 0"
+_NO_SUCH_FILE = "No such file or directory"
+
+# files that rows below read, besides ci.csv, cd.csv and manifest.json
+_FILES = {
+    # a quoted cell longer than csv's 131072-character field limit
+    "long-cell.csv": 'a,b,c\n"' + "x" * 200_000 + '",2,3\n4,5,6\n',
+    # the open quote would swallow the last two rows
+    "open-quote.csv": 'a,b,c\n1,2,3\n4,",6\n7,8,9\n10,11,12\n',
+    # a lax reader reads the first cell as 12
+    "text-after-quote.csv": 'a,b,c\n"1"2,3,4\n5,6,7\n',
+    # dims that leave the z column of the 3-column ci.csv unread
+    "narrow-manifest.json": json.dumps(
+        {"datasets": [{"csv": "ci.csv", "label": "CI", "dims": [1, 1, 0]}]}
+    ),
+    "numeric-csv-manifest.json": json.dumps(
+        {"datasets": [{"csv": 5, "label": "CI", "dims": [1, 1, 1]}]}
+    ),
+}
 
 # each row: an id, the argv after "-q", where "{tmp}" stands for the test's
 # directory, CMIGAN_SEED (None leaves it unset), the exit code and text
-# the log must hold; {tmp} holds ci.csv, cd.csv and manifest.json
+# the log must hold; {tmp} holds ci.csv, cd.csv, manifest.json and _FILES
 _EXIT_CODES = [
     ("datagen-negative-seed", [*_DATAGEN, "linear1", "--n", "10", "--seed", "-1"],
      None, EXIT_USAGE, _NEGATIVE_SEED),
@@ -567,6 +627,38 @@ _EXIT_CODES = [
      None, EXIT_USAGE, "threshold must be finite, got inf"),
     ("missing-manifest", ["citest", "--manifest", "{tmp}/none.json", "--estimator", "ksg"],
      None, EXIT_DATA, "no such manifest"),
+    ("bench-negative-suite-seed", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--suite-seed", "-1"],
+     None, EXIT_USAGE, _NEGATIVE_SEED),
+    ("bench-n-0", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--n", "0"],
+     None, EXIT_USAGE, "n must be positive"),
+    ("bench-dz-0", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--dz", "0"],
+     None, EXIT_USAGE, "dz must be >= 1"),
+    ("datagen-dependent-on-linear1", [*_DATAGEN, "linear1", "--n", "10", "--dependent"],
+     None, EXIT_USAGE, "--dependent does not apply to the linear1 model, which takes --dz"),
+    ("estimate-independent-on-gauss",
+     [*_KSG_ON_MODEL[:4], "gauss", "--rho", "0.5", "--n", "50", "--independent"],
+     None, EXIT_USAGE, "--independent does not apply to the gauss model, which takes --d, --rho"),
+    ("estimate-out-in-missing-dir", [*_KSG_ON_MODEL, "--out", "{tmp}/missing/r.json"],
+     None, EXIT_DATA, _NO_SUCH_FILE),
+    ("csv-cell-over-field-limit", ["estimate", "--estimator", "ksg", "--data",
+                                   "{tmp}/long-cell.csv", "--dims", "1,1,1"],
+     None, EXIT_DATA, "long-cell.csv: line 2: field larger than field limit"),
+    ("csv-open-quote", ["estimate", "--estimator", "ksg", "--data", "{tmp}/open-quote.csv",
+                        "--dims", "1,1,1"],
+     None, EXIT_DATA, "open-quote.csv: line 5: unexpected end of data"),
+    ("csv-text-after-quote", ["estimate", "--estimator", "ksg", "--data",
+                              "{tmp}/text-after-quote.csv", "--dims", "1,1,1"],
+     None, EXIT_DATA, "text-after-quote.csv: line 2: ',' expected after '\"'"),
+    ("manifest-dims-narrower-than-csv",
+     ["citest", "--manifest", "{tmp}/narrow-manifest.json", "--estimator", "ksg"],
+     None, EXIT_DATA, "--dims 1,1,0 does not cover the 3 CSV columns"),
+    ("manifest-numeric-csv",
+     ["citest", "--manifest", "{tmp}/numeric-csv-manifest.json", "--estimator", "ksg"],
+     None, EXIT_DATA, "malformed dataset entry 0: manifest csv must be a non-empty string"),
+    ("citest-trace", [*_CITEST, "--trace", "{tmp}/t.csv"],
+     None, EXIT_USAGE, "unrecognized arguments: --trace"),
+    ("bench-trace", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--trace", "{tmp}/t.csv"],
+     None, EXIT_USAGE, "unrecognized arguments: --trace"),
 ]
 
 
@@ -581,6 +673,8 @@ def test_exit_codes(tmp_path, capsys, caplog, monkeypatch, argv, env_seed, code,
         save_csv(samples, str(tmp_path / name))
         entries.append(ManifestEntry(name, label, samples.dims))
     write_manifest(str(tmp_path / "manifest.json"), entries)
+    for name, text in _FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     if env_seed is None:
         monkeypatch.delenv("CMIGAN_SEED", raising=False)
     else:
