@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -457,6 +458,17 @@ class TestBenchAndCitest:
         assert 0.0 <= rep["auroc"] <= 1.0
         assert rep["excluded"] == []
         assert {e["dataset_id"] for e in rep["entries"]} == set(csvs)
+
+    def test_bench_suite_csv_bytes_pinned(self, tmp_path, capsys):
+        # the default 20-dataset suite at 5000 rows: every file spans more
+        # than one of save_csv's row blocks
+        outdir = tmp_path / "suite"
+        assert main(["-q", "bench", "--generate-only", "--outdir", str(outdir), "--n", "5000"]) == EXIT_OK
+        capsys.readouterr()
+        digest = hashlib.sha256()
+        for entry in _read_json(outdir / "manifest.json")["datasets"]:
+            digest.update(entry["csv"].encode() + b"\0" + (outdir / entry["csv"]).read_bytes())
+        assert digest.hexdigest() == "738e0d9ded1e4d0c88efad8625aea0a3cc1c90fa82d9ebfb9bf6261bd349ca06"
 
     def test_bench_end_to_end_with_ksg(self, tmp_path, capsys):
         outdir = str(tmp_path / "suite")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmigan.dataio import (
     ColumnMapping,
@@ -54,6 +55,57 @@ def test_csv_bytes_pinned(tmp_path):
         b"x0,y0,z0\r\n-0,4.9406564584124654e-324,10000000000000000\r\n"
         b"1,0.10000000000000001,-2.5\r\n"
     )
+
+
+def _savetxt_bytes(samples: SampleSet, path) -> bytes:
+    """The reference bytes of ``samples`` as a CSV: one np.savetxt call."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        np.savetxt(
+            fh, samples.data, fmt="%.17g", delimiter=",", newline="\r\n",
+            header=",".join(default_headers(samples.dims)), comments="",
+        )
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _assert_savetxt_parity(tmp_path, samples: SampleSet):
+    save_csv(samples, str(tmp_path / "got.csv"))
+    assert (tmp_path / "got.csv").read_bytes() == _savetxt_bytes(samples, tmp_path / "want.csv")
+
+
+# values whose text is easy to get wrong: signed zeros, the smallest
+# subnormal, the largest finite doubles, integral floats with and
+# without an exponent, and a decimal fraction that binary cannot hold
+_EDGE_VALUES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    1.0, -3.0, 1e16, 2.0**53, 0.1,
+])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("dims", [(1, 1, 0), (1, 1, 1), (2, 3, 2), (4, 4, 7)])
+def test_save_csv_equals_savetxt(tmp_path, rows, dims):
+    width = sum(dims)
+    data = np.random.default_rng(rows + width).standard_normal((rows, width)) * 10.0 ** (
+        np.arange(width) - width // 2
+    )
+    # every 7th cell cycles through the edge values, so every block holds some
+    cells = data.reshape(-1)
+    cells[::7] = np.resize(_EDGE_VALUES, len(cells[::7]))
+    _assert_savetxt_parity(tmp_path, SampleSet(data, dims))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_save_csv_equals_savetxt_on_generated_matrices(tmp_path, data):
+    dims = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5)))
+    values = data.draw(arrays(
+        np.float64, (data.draw(st.integers(0, 40)), sum(dims)),
+        elements=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(list(_EDGE_VALUES))
+        ),
+    ))
+    _assert_savetxt_parity(tmp_path, SampleSet(values, dims))
 
 
 def test_default_headers():
