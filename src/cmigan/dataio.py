@@ -24,6 +24,7 @@ from .estimators import SampleSet
 
 MISSING_SENTINEL = -200.0
 MAX_CSV_BYTES = 1 << 29  # 512 MiB guard against pathological inputs
+_SAVE_BLOCK_ROWS = 4096  # rows per format call in save_csv
 
 
 class DataError(ValueError):
@@ -208,12 +209,19 @@ def default_headers(dims: tuple[int, int, int]) -> list[str]:
 
 def save_csv(samples: SampleSet, path: str):
     """Write a SampleSet as comma-separated UTF-8 under its default
-    headers, with 17-digit floats and csv's \\r\\n line ends."""
+    headers, with 17-digit floats and csv's \\r\\n line ends.
+
+    Each ``%`` operation formats ``_SAVE_BLOCK_ROWS`` rows at once, which
+    gives the bytes of ``np.savetxt(fmt="%.17g", delimiter=",",
+    newline="\\r\\n")`` at a fraction of its one call per row.
+    """
+    data = samples.data
+    row = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        np.savetxt(
-            fh, samples.data, fmt="%.17g", delimiter=",", newline="\r\n",
-            header=",".join(default_headers(samples.dims)), comments="",
-        )
+        fh.write(",".join(default_headers(samples.dims)) + "\r\n")
+        for start in range(0, len(data), _SAVE_BLOCK_ROWS):
+            block = data[start:start + _SAVE_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def sidecar_path(csv_path: str) -> str:
