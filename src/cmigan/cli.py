@@ -114,6 +114,22 @@ def _check_model_flags(args):
             raise ValueError(f"--{flag} does not apply to the {args.model} model, which takes {flags}")
 
 
+# the estimate flags that only a --data or only a --model input reads, by
+# argparse dest; each is None unless given
+_CSV_FLAGS = ("dims", "x_cols", "y_cols", "z_cols", "semicolon", "shuffle_seed")
+_MODEL_FLAGS = ("n", "dz", "d", "rho", "dependent", "data_seed")
+
+
+def _reject_flags(args, names, given: str, read_by: str):
+    """Reject any of the flags ``names`` that only a ``read_by`` input reads,
+    when the input ``given`` is the other kind."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None:
+            flag = "independent" if value is False else name.replace("_", "-")
+            raise ValueError(f"--{flag} applies to {read_by} input, not {given}")
+
+
 def _csv_spec(path: str, dims=None, mapping=None, semicolon=False, shuffle_seed=None) -> dict:
     """The dataset spec of a CSV file split by ``dims`` or by a column ``mapping``."""
     return dict(kind="csv", path=os.path.abspath(path), dims=dims, mapping=mapping,
@@ -124,6 +140,7 @@ def _dataset_spec_from_args(args) -> dict:
     if args.data is not None and args.model is not None:
         raise ValueError("give either --data or --model, not both")
     if args.data is not None:
+        _reject_flags(args, _MODEL_FLAGS, "--data", "--model")
         if args.dims is not None:
             dims = _int_list(args.dims)
             if len(dims) != 3:
@@ -140,8 +157,9 @@ def _dataset_spec_from_args(args) -> dict:
             dims = None
         else:
             raise ValueError("CSV input needs --dims or --x-cols/--y-cols[/--z-cols]")
-        return _csv_spec(args.data, dims, mapping, args.semicolon, args.shuffle_seed)
+        return _csv_spec(args.data, dims, mapping, bool(args.semicolon), args.shuffle_seed)
     if args.model is not None:
+        _reject_flags(args, _CSV_FLAGS, "--model", "--data")
         _check_model_flags(args)
         return {
             "kind": "model",
@@ -151,7 +169,7 @@ def _dataset_spec_from_args(args) -> dict:
             "d": args.d,
             "rho": args.rho,
             "dependent": bool(args.dependent),
-            "seed": args.data_seed,
+            "seed": 0 if args.data_seed is None else args.data_seed,
         }
     raise ValueError("an input is required: --data FILE or --model NAME")
 
@@ -319,10 +337,13 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _score_manifest(args, command: str, manifest: str) -> int:
+def _scoring_configs(args) -> tuple[EstimatorConfig, KSGConfig]:
+    return _estimator_config(args), KSGConfig(k=args.k)
+
+
+def _score_manifest(args, command: str, manifest: str, cfg: EstimatorConfig, ksg_cfg: KSGConfig) -> int:
     """Load every dataset ``manifest`` lists, score the suite with
-    ``args.estimator`` and write the report."""
-    cfg = _estimator_config(args)
+    ``args.estimator`` under ``cfg`` and ``ksg_cfg`` and write the report."""
     base = os.path.dirname(os.path.abspath(manifest))
     entries = read_manifest(manifest)
     datasets = [
@@ -333,12 +354,12 @@ def _score_manifest(args, command: str, manifest: str) -> int:
         "estimator": args.estimator,
         "manifest": os.path.abspath(manifest),
         "estimator_config": cfg.to_dict(),
-        "ksg": {"k": args.k},
+        "ksg": {"k": ksg_cfg.k},
         "threshold": args.threshold,
     }
     start = time.monotonic()
     report = run_cit_benchmark(
-        datasets, args.estimator, cfg, threshold=args.threshold, ksg_config=KSGConfig(k=args.k),
+        datasets, args.estimator, cfg, threshold=args.threshold, ksg_config=ksg_cfg,
         ids=[e.csv for e in entries], jobs=args.jobs,
     )
     wall = time.monotonic() - start
@@ -348,7 +369,7 @@ def _score_manifest(args, command: str, manifest: str) -> int:
 
 
 def cmd_citest(args) -> int:
-    return _score_manifest(args, "citest", args.manifest)
+    return _score_manifest(args, "citest", args.manifest, *_scoring_configs(args))
 
 
 def cmd_gradcheck(args) -> int:
@@ -387,11 +408,13 @@ def _write_suite(args) -> str:
 
 
 def cmd_bench(args) -> int:
+    # every estimator flag is checked before the suite is written
+    configs = _scoring_configs(args)
     manifest = _write_suite(args)
     if args.generate_only:
         _write_json(None, {"manifest": manifest, "datasets": args.n_ci + args.n_cd})
         return EXIT_OK
-    return _score_manifest(args, "bench", manifest)
+    return _score_manifest(args, "bench", manifest, *configs)
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser):
@@ -460,11 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-cols", default=None, help="comma-separated names or indices")
     p.add_argument("--y-cols", default=None)
     p.add_argument("--z-cols", default=None)
-    p.add_argument("--semicolon", action="store_true",
+    p.add_argument("--semicolon", action="store_true", default=None,
                    help="CSV uses ';' separators and ',' decimals")
     p.add_argument("--shuffle-seed", type=int, default=None, help="shuffle CSV rows with this seed")
     _add_model_flags(p, required=False)
-    p.add_argument("--data-seed", type=int, default=0, help="seed for inline generation")
+    p.add_argument("--data-seed", type=int, default=None, help="seed for inline generation (default: 0)")
     p.add_argument("--config", default=None, metavar="JSON",
                    help="replay the run configuration embedded in an earlier report")
     p.add_argument("--trace", default=None, metavar="CSV", help="write per-step losses here")

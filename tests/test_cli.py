@@ -565,6 +565,7 @@ class TestParser:
 
 _DATAGEN = ["datagen", "--out", "{tmp}/d.csv", "--model"]
 _KSG_ON_MODEL = ["estimate", "--estimator", "ksg", "--model", "linear1", "--n", "50"]
+_KSG_ON_CSV = ["estimate", "--estimator", "ksg", "--data", "{tmp}/ci.csv", "--dims", "1,1,1"]
 _CITEST = ["citest", "--manifest", "{tmp}/manifest.json", "--estimator", "ksg"]
 _BENCH = ["bench", "--outdir", "{tmp}/suite", "--n", "100"]
 _NEGATIVE_SEED = "seed must be non-negative, got -1"
@@ -671,6 +672,24 @@ _EXIT_CODES = [
      None, EXIT_USAGE, "unrecognized arguments: --trace"),
     ("bench-trace", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--trace", "{tmp}/t.csv"],
      None, EXIT_USAGE, "unrecognized arguments: --trace"),
+    # bench checks its estimator flags before it writes the suite
+    ("bench-lr-nan", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--lr", "nan"],
+     None, EXIT_USAGE, "initial_lr must be positive and finite, got nan"),
+    ("bench-negative-seed", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--seed", "-1"],
+     None, EXIT_USAGE, _NEGATIVE_SEED),
+    ("bench-runs-0", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--runs", "0"],
+     None, EXIT_USAGE, "runs must be positive"),
+    ("bench-k-0", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--k", "0"],
+     None, EXIT_USAGE, "k must be a positive integer"),
+    # a flag that only the other kind of input reads; --data-seed 0 is its default value
+    *[(f"data-input{flag}", [*_KSG_ON_CSV, flag, *values], None, EXIT_USAGE,
+       f"{flag} applies to --model input, not --data")
+      for flag, *values in (["--n", "5"], ["--dz", "1"], ["--d", "1"], ["--rho", "0.5"],
+                            ["--dependent"], ["--independent"], ["--data-seed", "0"])],
+    *[(f"model-input{flag}", [*_KSG_ON_MODEL, flag, *values], None, EXIT_USAGE,
+       f"{flag} applies to --data input, not --model")
+      for flag, *values in (["--dims", "1,1,1"], ["--x-cols", "x0"], ["--y-cols", "y0"],
+                            ["--z-cols", "z0"], ["--semicolon"], ["--shuffle-seed", "0"])],
 ]
 
 
