@@ -337,10 +337,6 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _scoring_configs(args) -> tuple[EstimatorConfig, KSGConfig]:
-    return _estimator_config(args), KSGConfig(k=args.k)
-
-
 def _score_manifest(args, command: str, manifest: str, cfg: EstimatorConfig, ksg_cfg: KSGConfig) -> int:
     """Load every dataset ``manifest`` lists, score the suite with
     ``args.estimator`` under ``cfg`` and ``ksg_cfg`` and write the report."""
@@ -369,7 +365,7 @@ def _score_manifest(args, command: str, manifest: str, cfg: EstimatorConfig, ksg
 
 
 def cmd_citest(args) -> int:
-    return _score_manifest(args, "citest", args.manifest, *_scoring_configs(args))
+    return _score_manifest(args, "citest", args.manifest, _estimator_config(args), KSGConfig(k=args.k))
 
 
 def cmd_gradcheck(args) -> int:
@@ -409,12 +405,12 @@ def _write_suite(args) -> str:
 
 def cmd_bench(args) -> int:
     # every estimator flag is checked before the suite is written
-    configs = _scoring_configs(args)
+    cfg, ksg_cfg = _estimator_config(args), KSGConfig(k=args.k)
     manifest = _write_suite(args)
     if args.generate_only:
         _write_json(None, {"manifest": manifest, "datasets": args.n_ci + args.n_cd})
         return EXIT_OK
-    return _score_manifest(args, "bench", manifest, *configs)
+    return _score_manifest(args, "bench", manifest, cfg, ksg_cfg)
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser):

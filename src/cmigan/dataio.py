@@ -6,7 +6,8 @@ UCI air-quality export) is available behind a flag. The value -200 is
 treated as a missing-data sentinel, as are empty and non-numeric cells;
 rows containing any missing value in a mapped column are dropped and
 counted. Floats are written with 17 significant digits so a save/load
-round trip is bit-exact.
+round trip is bit-exact; the writer formats a block of rows per call and
+produces the bytes ``np.savetxt`` would.
 """
 
 from __future__ import annotations
@@ -211,9 +212,10 @@ def save_csv(samples: SampleSet, path: str):
     """Write a SampleSet as comma-separated UTF-8 under its default
     headers, with 17-digit floats and csv's \\r\\n line ends.
 
-    Each ``%`` operation formats ``_SAVE_BLOCK_ROWS`` rows at once, which
-    gives the bytes of ``np.savetxt(fmt="%.17g", delimiter=",",
-    newline="\\r\\n")`` at a fraction of its one call per row.
+    The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",",
+    newline="\\r\\n")``, but each ``%`` operation formats up to
+    ``_SAVE_BLOCK_ROWS`` rows where savetxt makes one call per row; the
+    block bounds the text held in memory at once.
     """
     data = samples.data
     row = ",".join(["%.17g"] * data.shape[1]) + "\r\n"

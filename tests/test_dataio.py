@@ -64,8 +64,7 @@ def _savetxt_bytes(samples: SampleSet, path) -> bytes:
             fh, samples.data, fmt="%.17g", delimiter=",", newline="\r\n",
             header=",".join(default_headers(samples.dims)), comments="",
         )
-    with open(path, "rb") as fh:
-        return fh.read()
+    return path.read_bytes()
 
 
 def _assert_savetxt_parity(tmp_path, samples: SampleSet):
