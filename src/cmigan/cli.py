@@ -101,33 +101,47 @@ def _estimator_config(args, record_trace: bool = False) -> EstimatorConfig:
     return dataclasses.replace(base, **overrides)
 
 
-def _check_model_flags(args):
-    """Reject a --dz, --d, --rho, --dependent or --independent given for a
-    model that does not take it, rather than generate data that ignores
-    the flag."""
-    takes = _MODELS[args.model][1]
-    for name in ("dz", "d", "rho", "dependent"):
-        value = getattr(args, name)
-        if value is not None and name not in takes:
-            flag = "independent" if value is False else name
+# the input that reads each input-specific flag, by argparse dest: a CSV
+# (--data), a CSV split by column names rather than by --dims, any model
+# (--model), or a model that takes that argument. Every other flag is read
+# by --data and --model input, and --config reads only _REPLAY_READS.
+_READ_BY = {
+    **dict.fromkeys(("dims", "semicolon", "shuffle_seed"), "--data"),
+    **dict.fromkeys(("x_cols", "y_cols", "z_cols"), "columns"),
+    **dict.fromkeys(("n", "data_seed"), "--model"),
+    **{arg: "model" for _, takes, _ in _MODELS.values() for arg in takes},
+}
+_REPLAY_READS = ("command", "func", "quiet", "config", "out", "trace", "jobs")
+# the flags whose dest is the EstimatorConfig field they set
+_FLAG_NAMES = {"training_steps": "steps", "initial_lr": "lr", "reg_training_ratio": "ratio",
+               "lr_interval_steps": "lr-interval", "lr_decay_factor": "lr-decay"}
+
+
+def _check_flags(args, given: str):
+    """Reject, naming it, the first flag given that the input ``given``
+    ("--config", "--data" or "--model") does not read; a flag that is not
+    given is None."""
+    for name, value in vars(args).items():
+        if value is None or name in _REPLAY_READS:
+            continue
+        flag = "--independent" if value is False else "--" + _FLAG_NAMES.get(name, name.replace("_", "-"))
+        reader = _READ_BY.get(name)
+        if given == "--config":
+            raise ValueError(f"{flag} does not apply to --config, which replays its run configuration")
+        if reader is None:
+            continue
+        kind = "--model" if reader in ("--model", "model") else "--data"
+        if kind != given:
+            raise ValueError(f"{flag} applies to {kind} input, not {given}")
+        if reader == "columns" and args.dims is not None:
+            raise ValueError(f"{flag} does not apply with --dims, which splits the columns as [x|y|z]")
+        if reader == "model" and name not in (takes := _MODELS[args.model][1]):
             flags = ", ".join(f"--{arg}" for arg in takes if arg != "dependent")
-            raise ValueError(f"--{flag} does not apply to the {args.model} model, which takes {flags}")
+            raise ValueError(f"{flag} does not apply to the {args.model} model, which takes {flags}")
 
 
-# the estimate flags that only a --data or only a --model input reads, by
-# argparse dest; each is None unless given
-_CSV_FLAGS = ("dims", "x_cols", "y_cols", "z_cols", "semicolon", "shuffle_seed")
-_MODEL_FLAGS = ("n", "dz", "d", "rho", "dependent", "data_seed")
-
-
-def _reject_flags(args, names, given: str, read_by: str):
-    """Reject any of the flags ``names`` that only a ``read_by`` input reads,
-    when the input ``given`` is the other kind."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None:
-            flag = "independent" if value is False else name.replace("_", "-")
-            raise ValueError(f"--{flag} applies to {read_by} input, not {given}")
+def _ksg_config(args) -> KSGConfig:
+    return KSGConfig() if args.k is None else KSGConfig(k=args.k)
 
 
 def _csv_spec(path: str, dims=None, mapping=None, semicolon=False, shuffle_seed=None) -> dict:
@@ -137,55 +151,25 @@ def _csv_spec(path: str, dims=None, mapping=None, semicolon=False, shuffle_seed=
 
 
 def _dataset_spec_from_args(args) -> dict:
-    if args.data is not None and args.model is not None:
-        raise ValueError("give either --data or --model, not both")
     if args.data is not None:
-        _reject_flags(args, _MODEL_FLAGS, "--data", "--model")
+        mapping = dims = None
         if args.dims is not None:
             dims = _int_list(args.dims)
             if len(dims) != 3:
                 raise ValueError("--dims must be dx,dy,dz")
-            mapping = None
-        elif args.x_cols or args.y_cols:
-            if not (args.x_cols and args.y_cols):
-                raise ValueError("--x-cols and --y-cols must be given together")
-            mapping = {
-                "x_cols": _cols(args.x_cols),
-                "y_cols": _cols(args.y_cols),
-                "z_cols": _cols(args.z_cols),
-            }
-            dims = None
+        elif args.x_cols and args.y_cols:
+            mapping = {key: _cols(getattr(args, key)) for key in ("x_cols", "y_cols", "z_cols")}
         else:
-            raise ValueError("CSV input needs --dims or --x-cols/--y-cols[/--z-cols]")
+            raise ValueError("CSV input needs --dims, or --x-cols and --y-cols (and --z-cols)")
         return _csv_spec(args.data, dims, mapping, bool(args.semicolon), args.shuffle_seed)
-    if args.model is not None:
-        _reject_flags(args, _CSV_FLAGS, "--model", "--data")
-        _check_model_flags(args)
-        return {
-            "kind": "model",
-            "model": args.model,
-            "n": args.n,
-            "dz": args.dz,
-            "d": args.d,
-            "rho": args.rho,
-            "dependent": bool(args.dependent),
-            "seed": 0 if args.data_seed is None else args.data_seed,
-        }
-    raise ValueError("an input is required: --data FILE or --model NAME")
+    return dict(kind="model", model=args.model, n=args.n, dz=args.dz, d=args.d, rho=args.rho,
+                dependent=bool(args.dependent), seed=0 if args.data_seed is None else args.data_seed)
 
 
 def _load_dataset(spec: dict):
     if spec["kind"] == "model":
-        samples, _, _ = generate(
-            spec["model"],
-            spec["n"],
-            spec["seed"],
-            dz=spec.get("dz"),
-            d=spec.get("d"),
-            rho=spec.get("rho"),
-            dependent=spec.get("dependent"),
-        )
-        return samples
+        return generate(spec["model"], spec["n"], spec["seed"], dz=spec.get("dz"), d=spec.get("d"),
+                        rho=spec.get("rho"), dependent=spec.get("dependent"))[0]
     if spec["kind"] == "csv":
         if spec.get("normalize", "none") != "none":
             # an older report may ask for the removed load-time z-scoring
@@ -245,7 +229,7 @@ def _write_trace(path: str, report_dict: dict, seed: int):
 
 
 def cmd_datagen(args) -> int:
-    _check_model_flags(args)
+    _check_flags(args, "--model")
     samples, params, label = generate(
         args.model, args.n, _seed(args), dz=args.dz, d=args.d, rho=args.rho, dependent=args.dependent
     )
@@ -293,15 +277,23 @@ def _replay_config(path: str) -> dict:
 
 
 def cmd_estimate(args) -> int:
+    inputs = [f"--{name}" for name in ("config", "data", "model") if getattr(args, name) is not None]
+    if len(inputs) != 1:
+        raise ValueError("give exactly one input: --config JSON, --data CSV or --model NAME")
+    _check_flags(args, inputs[0])
     if args.config is not None:
         run_config = _replay_config(args.config)
+        # a replay writes the trace its own --trace asks for
+        run_config["estimator_config"]["record_trace"] = args.trace is not None
+    elif args.estimator is None:
+        raise ValueError("--estimator is required unless --config is given")
     else:
         run_config = {
             "command": "estimate",
             "estimator": args.estimator,
             "dataset": _dataset_spec_from_args(args),
             "estimator_config": _estimator_config(args, args.trace is not None).to_dict(),
-            "ksg": {"k": args.k},
+            "ksg": {"k": _ksg_config(args).k},
             "threshold": None,
         }
     estimator = run_config["estimator"]
@@ -365,7 +357,7 @@ def _score_manifest(args, command: str, manifest: str, cfg: EstimatorConfig, ksg
 
 
 def cmd_citest(args) -> int:
-    return _score_manifest(args, "citest", args.manifest, _estimator_config(args), KSGConfig(k=args.k))
+    return _score_manifest(args, "citest", args.manifest, _estimator_config(args), _ksg_config(args))
 
 
 def cmd_gradcheck(args) -> int:
@@ -405,7 +397,7 @@ def _write_suite(args) -> str:
 
 def cmd_bench(args) -> int:
     # every estimator flag is checked before the suite is written
-    cfg, ksg_cfg = _estimator_config(args), KSGConfig(k=args.k)
+    cfg, ksg_cfg = _estimator_config(args), _ksg_config(args)
     manifest = _write_suite(args)
     if args.generate_only:
         _write_json(None, {"manifest": manifest, "datasets": args.n_ci + args.n_cd})
@@ -414,7 +406,9 @@ def cmd_bench(args) -> int:
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser):
-    p.add_argument("--runs", type=int, default=1, help="independent training runs to average")
+    # the flags that default to a value are None unless given, so that
+    # estimate can reject one its input does not read
+    p.add_argument("--runs", type=int, default=None, help="independent training runs (default: 1)")
     p.add_argument("--seed", type=int, default=None,
                    help=f"base seed (default: ${SEED_ENV} or 0); run r uses seed+r")
     p.add_argument("--steps", dest="training_steps", metavar="STEPS", type=int, default=None,
@@ -433,10 +427,11 @@ def _add_estimator_flags(p: argparse.ArgumentParser):
     p.add_argument("--lr-decay", dest="lr_decay_factor", metavar="LR_DECAY", type=float,
                    default=None, help="total decay factor")
     p.add_argument("--lr-mode", choices=SCHEDULE_MODES, default=None)
-    p.add_argument("--cit-defaults", action="store_true",
+    p.add_argument("--cit-defaults", action="store_true", default=None,
                    help="start from the conditional-independence-testing hyperparameters")
-    p.add_argument("--no-standardize", action="store_true", help="skip per-column z-scoring")
-    p.add_argument("--k", type=int, default=5, help="kNN order for the ksg estimator")
+    p.add_argument("--no-standardize", action="store_true", default=None,
+                   help="skip per-column z-scoring")
+    p.add_argument("--k", type=int, default=None, help="kNN order for the ksg estimator (default: 5)")
     p.add_argument("--jobs", type=_jobs, default=None,
                    help="worker processes, one BLAS thread each, over network runs (estimate) "
                         "or datasets (citest, bench); default: the usable CPUs")

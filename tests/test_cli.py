@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from cmigan import cli
 from cmigan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
@@ -229,6 +231,24 @@ class TestEstimate:
         capsys.readouterr()
         assert code == EXIT_OK
         a, b = _read_json(first), _read_json(replay)
+        assert hex_floats(a["report"]) == hex_floats(b["report"])
+        assert a["run_config"] == b["run_config"]
+
+    def test_replay_writes_the_trace_its_own_trace_flag_asks_for(self, tmp_path, capsys):
+        argv = ["-q", "estimate", "--estimator", "cmigan", "--model", "linear1", "--n", "256",
+                "--dz", "1", "--runs", "2", "--seed", "5", *TINY_NET, "--jobs", "1"]
+        untraced, traced = str(tmp_path / "untraced.json"), str(tmp_path / "traced.json")
+        assert main([*argv, "--out", untraced]) == EXIT_OK
+        assert main([*argv, "--out", traced, "--trace", str(tmp_path / "first.csv")]) == EXIT_OK
+        replay = str(tmp_path / "replay.json")
+        code = main(["-q", "estimate", "--config", untraced, "--out", replay,
+                     "--trace", str(tmp_path / "replay.csv")])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        first = (tmp_path / "first.csv").read_bytes()
+        assert first.count(b"\n") == 1 + 2 * 10
+        assert (tmp_path / "replay.csv").read_bytes() == first
+        a, b = _read_json(traced), _read_json(replay)
         assert hex_floats(a["report"]) == hex_floats(b["report"])
         assert a["run_config"] == b["run_config"]
 
@@ -568,6 +588,7 @@ _KSG_ON_MODEL = ["estimate", "--estimator", "ksg", "--model", "linear1", "--n", 
 _KSG_ON_CSV = ["estimate", "--estimator", "ksg", "--data", "{tmp}/ci.csv", "--dims", "1,1,1"]
 _CITEST = ["citest", "--manifest", "{tmp}/manifest.json", "--estimator", "ksg"]
 _BENCH = ["bench", "--outdir", "{tmp}/suite", "--n", "100"]
+_REPLAY = ["estimate", "--config", "{tmp}/replay.json"]
 _NEGATIVE_SEED = "seed must be non-negative, got -1"
 _NO_DATASETS = "--n-ci and --n-cd must be non-negative and not both 0"
 _NO_SUCH_FILE = "No such file or directory"
@@ -587,6 +608,11 @@ _FILES = {
     "numeric-csv-manifest.json": json.dumps(
         {"datasets": [{"csv": 5, "label": "CI", "dims": [1, 1, 1]}]}
     ),
+    # a bare run_config that replays ksg on a generated dataset
+    "replay.json": json.dumps({
+        "command": "estimate", "estimator": "ksg", "dataset": _TINY_MODEL,
+        "estimator_config": {}, "ksg": {"k": 5}, "threshold": None,
+    }),
 }
 
 # each row: an id, the argv after "-q", where "{tmp}" stands for the test's
@@ -690,6 +716,20 @@ _EXIT_CODES = [
        f"{flag} applies to --data input, not --model")
       for flag, *values in (["--dims", "1,1,1"], ["--x-cols", "x0"], ["--y-cols", "y0"],
                             ["--z-cols", "z0"], ["--semicolon"], ["--shuffle-seed", "0"])],
+    # --dims splits the columns itself, so a column selection beside it is unread
+    *[(f"dims-with{flag}", [*_KSG_ON_CSV, flag, "nope"], None, EXIT_USAGE,
+       f"{flag} does not apply with --dims")
+      for flag in ("--x-cols", "--y-cols", "--z-cols")],
+    # the replayed run configuration fixes everything but --out, --trace and --jobs
+    *[(f"config-with{flag}", [*_REPLAY, flag, *values], None, EXIT_USAGE,
+       f"{flag} does not apply to --config")
+      for flag, *values in (["--dims", "1,1,1"], ["--n", "50"], ["--lr", "nan"],
+                            ["--seed", "3"], ["--runs", "3"], ["--k", "3"])],
+    ("config-with-out-trace-jobs",
+     [*_REPLAY, "--out", "{tmp}/r.json", "--trace", "{tmp}/t.csv", "--jobs", "1"],
+     None, EXIT_OK, ""),
+    ("no-estimator", ["estimate", "--model", "linear1", "--n", "50"],
+     None, EXIT_USAGE, "--estimator is required unless --config is given"),
 ]
 
 
@@ -716,9 +756,104 @@ def test_exit_codes(tmp_path, capsys, caplog, monkeypatch, argv, env_seed, code,
         got = exc.code
     captured = capsys.readouterr()
     assert got == code
-    assert captured.out == ""
+    # only a success prints its report
+    assert (captured.out == "") == (code != EXIT_OK)
     assert "Traceback" not in captured.err
     assert message in caplog.text + captured.err
     # a rejected bench or datagen writes nothing
     assert not (tmp_path / "suite").exists()
     assert not (tmp_path / "d.csv").exists()
+
+
+# values for each estimate flag, valid and not, by the input that reads it
+_SWEEP_CSV_FLAGS = {
+    "--dims": ["1,1,1", "1,1,0", "1,1", "a"],
+    "--x-cols": ["x0", "nope", "0"],
+    "--y-cols": ["y0", "1", ""],
+    "--z-cols": ["z0", "x0"],
+    "--semicolon": [],
+    "--shuffle-seed": ["-1", "0", "3"],
+}
+_SWEEP_MODEL_FLAGS = {
+    "--n": ["-1", "0", "1", "30", "300"],
+    "--dz": ["0", "1", "2"],
+    "--d": ["0", "1", "2"],
+    "--rho": ["0.5", "1.5", "nan"],
+    "--dependent": [],
+    "--independent": [],
+    "--data-seed": ["-1", "0", "2"],
+}
+_SWEEP_ESTIMATOR_FLAGS = {
+    "--runs": ["0", "1", "2"],
+    "--seed": ["-1", "0", "4"],
+    "--batch-size": ["0", "16", "4096"],
+    "--lr": ["0", "1e-3", "nan", "1e100"],
+    "--reg-hidden": ["4", "4,2", "x", ""],
+    "--gen-hidden": ["4", "0"],
+    "--ratio": ["0", "1", "2"],
+    "--noise-dim": ["0", "1"],
+    "--eval-passes": ["0", "1"],
+    "--lr-interval": ["0", "1"],
+    "--lr-decay": ["1", "2", "inf"],
+    "--lr-mode": ["per_interval", "bogus"],
+    "--cit-defaults": [],
+    "--no-standardize": [],
+    "--k": ["0", "1", "3"],
+    "--trace": ["{tmp}/t.csv", "{tmp}/missing/t.csv"],
+    "--out": ["{tmp}/r.json", "{tmp}/missing/r.json"],
+}
+_SWEEP_FLAGS = {**_SWEEP_CSV_FLAGS, **_SWEEP_MODEL_FLAGS, **_SWEEP_ESTIMATOR_FLAGS}
+# each input's arguments, and the flags it reads besides the estimator flags
+_SWEEP_INPUTS = {
+    "config": (["--config", "{tmp}/replay.json"], {}),
+    "csv-dims": (["--data", "{tmp}/ci.csv", "--dims", "1,1,1"], _SWEEP_CSV_FLAGS),
+    "csv-cols": (["--data", "{tmp}/ci.csv", "--x-cols", "x0", "--y-cols", "y0"], _SWEEP_CSV_FLAGS),
+    "absent-csv": (["--data", "{tmp}/absent.csv", "--dims", "1,1,1"], _SWEEP_CSV_FLAGS),
+    "model": (["--n", "200"], _SWEEP_MODEL_FLAGS),
+    "none": ([], {}),
+    "csv-and-model": (["--data", "{tmp}/ci.csv", "--model", "cit"], {}),
+}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_estimate_flag_sweep_ends_in_an_exit_code(tmp_path, capsys, data):
+    if not (tmp_path / "replay.json").exists():
+        samples, _, _ = gen_cit(200, 1, True, seed=0)
+        save_csv(samples, str(tmp_path / "ci.csv"))
+        (tmp_path / "replay.json").write_text(_FILES["replay.json"], encoding="utf-8")
+    argv = ["-q", "estimate", "--jobs", "1"]
+    input_name = data.draw(st.sampled_from(sorted(_SWEEP_INPUTS)))
+    input_args, input_flags = _SWEEP_INPUTS[input_name]
+    argv += input_args
+    if input_args[:1] == ["--n"]:
+        argv += ["--model", data.draw(st.sampled_from(cli.MODEL_IDS))]
+    # --config names its own estimator
+    estimator = None if input_name == "config" else data.draw(
+        st.sampled_from([None, "ksg", "ksg", "cmigan", "migan", "midiff-fmine"]))
+    if estimator is not None:
+        argv += ["--estimator", estimator]
+        if estimator != "ksg":
+            # a network id trains for a few steps only
+            argv += ["--steps", data.draw(st.sampled_from(["0", "1", "3"]))]
+    # mostly flags the input reads, sometimes one it does not
+    readable = sorted({**input_flags, **(_SWEEP_ESTIMATOR_FLAGS if input_flags else {})})
+    flags = data.draw(st.lists(st.sampled_from(readable), max_size=4, unique=True)) if readable else []
+    if data.draw(st.integers(0, 3)) == 0:
+        flags.append(data.draw(st.sampled_from(sorted(_SWEEP_FLAGS))))
+    for flag in flags:
+        values = _SWEEP_FLAGS[flag]
+        argv += [flag, *([data.draw(st.sampled_from(values))] if values else [])]
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    try:
+        with np.errstate(all="ignore"):
+            code = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERICAL), argv
+    assert "Traceback" not in captured.err
+    if code != EXIT_OK:
+        assert captured.out == "", argv
