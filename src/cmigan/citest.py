@@ -54,18 +54,6 @@ def auroc(scores, labels) -> float:
     return float(u / (len(pos) * len(neg)))
 
 
-def auroc_bruteforce(scores, labels) -> float:
-    """Pairwise reference: mean over (pos, neg) pairs of 1/0.5/0."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    _check_labels(labels)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
-
-
 @dataclass
 class CITEntry:
     dataset_id: str

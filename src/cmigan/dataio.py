@@ -240,12 +240,6 @@ def write_sidecar(csv_path: str, params: ModelParams, true_value: float | None):
     return sidecar_path(csv_path)
 
 
-def read_sidecar(path: str) -> tuple[ModelParams, float | None]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return ModelParams.from_dict(doc), doc.get("true_cmi")
-
-
 @dataclass
 class ManifestEntry:
     """A labeled CSV, its path relative to the manifest or absolute, and its [x|y|z] dims."""

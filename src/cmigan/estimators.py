@@ -52,6 +52,7 @@ from .knn import KSGConfig, ksg_cmi_result, ksg_mi_result
 # training loop calls the in-place rmsprop_update instead
 from .neuralnet import (
     MLPBuffers,
+    MLPGrads,
     MLPSpec,
     NumericalError,
     ScheduleConfig,
@@ -251,15 +252,22 @@ def _finite(value, what: str, step: int):
 
 class _Net:
     """A network's parameters, its RMSProp state and the arrays of its
-    passes, allocated once for the run's batch size: ``passes`` pairs of
-    an input array and the :class:`MLPBuffers` that the pass writes into.
-    Each pair holds one forward cache at a time."""
+    passes, allocated once for the run's batch size: one input array and
+    the :class:`MLPBuffers` that every pass writes into, so the net holds
+    one forward cache at a time. A critic also keeps ``joint_grads``, a
+    params-sized array set for its joint pass's gradients while its
+    product pass reuses the buffers."""
 
-    def __init__(self, spec: MLPSpec, seed: int, cfg: EstimatorConfig, passes: int):
+    def __init__(self, spec: MLPSpec, seed: int, cfg: EstimatorConfig, critic: bool):
         self.params = mlp_init(spec, seed)
         self.state = rmsprop_init(self.params)
-        self.inputs = [np.empty((cfg.batch_size, spec.input_dim)) for _ in range(passes)]
-        self.buffers = [MLPBuffers(spec, cfg.batch_size) for _ in range(passes)]
+        self.inputs = np.empty((cfg.batch_size, spec.input_dim))
+        self.buffers = MLPBuffers(spec, cfg.batch_size)
+        if critic:
+            self.joint_grads = MLPGrads(
+                [np.empty_like(w) for w in self.params.weights],
+                [np.empty_like(b) for b in self.params.biases],
+            )
 
     def step(self, grads, lr: float):
         rmsprop_update(self.params, grads, self.state, lr)
@@ -292,16 +300,24 @@ def _total(terms: list):
     return sum(terms[1:], terms[0])
 
 
-def _critic_step(net: _Net, joint_in, prod_in, fdiv: bool, label: str, lr: float, step: int):
-    """One critic update on a joint and a product batch, which the
-    critic's first and second buffers hold. Returns the loss (the negated
-    objective) and the number of clamped product scores, which only the
-    f-divergence objective has."""
-    b = joint_in.shape[0]
-    joint_buf, prod_buf = net.buffers
-    s_joint, cache_j = mlp_forward_cached(net.params, joint_in, buffers=joint_buf)
-    s_prod, cache_p = mlp_forward_cached(net.params, prod_in, buffers=prod_buf)
-    _finite(s_joint, "joint scores", step)
+def _critic_step(net: _Net, joint_input, product_input, fdiv: bool, label: str, lr: float, step: int):
+    """One critic update on a joint and a product batch, which
+    ``joint_input()`` and ``product_input()`` write into the critic's
+    input array. The passes share one buffer set, in the order joint
+    forward, joint backward, product forward, product backward; the joint
+    gradients wait in ``net.joint_grads`` and the joint scores in a copy.
+    Returns the loss (the negated objective) and the number of clamped
+    product scores, which only the f-divergence objective has."""
+    buf, joint_grads = net.buffers, net.joint_grads
+    s_joint, cache = mlp_forward_cached(net.params, joint_input(), buffers=buf)
+    s_joint = _finite(s_joint, "joint scores", step).copy()
+    b = s_joint.shape[0]
+    grads = mlp_backward_cached(
+        net.params, cache, np.full((b, 1), -1.0 / b), input_grad=False, buffers=buf
+    )
+    for acc, g in zip(joint_grads.weights + joint_grads.biases, grads.weights + grads.biases):
+        np.copyto(acc, g)
+    s_prod, cache = mlp_forward_cached(net.params, product_input(), buffers=buf)
     _finite(s_prod, "product scores", step)
     clamp_hits = 0
     if fdiv:
@@ -310,13 +326,10 @@ def _critic_step(net: _Net, joint_in, prod_in, fdiv: bool, label: str, lr: float
     else:
         loss = _finite(-float(s_joint.mean()) + log_mean_exp(s_prod), label, step)
         g_prod = softmax_weights(s_prod.ravel())
-    grads_joint = mlp_backward_cached(
-        net.params, cache_j, np.full((b, 1), -1.0 / b), input_grad=False, buffers=joint_buf
-    )
     grads_prod = mlp_backward_cached(
-        net.params, cache_p, g_prod[:, None], input_grad=False, buffers=prod_buf
+        net.params, cache, g_prod[:, None], input_grad=False, buffers=buf
     )
-    net.step(add_grads(grads_joint, grads_prod, out=grads_joint), lr)
+    net.step(add_grads(joint_grads, grads_prod, out=joint_grads), lr)
     return loss, clamp_hits
 
 
@@ -358,11 +371,11 @@ def _train_run(
     def cols(blocks: str) -> int:
         return sum(width[key] for key in blocks)
 
-    def net(d_in: int, hidden: tuple[int, ...], d_out: int, passes: int) -> _Net:
-        return _Net(MLPSpec(d_in, hidden, d_out), int(rng.integers(2**63)), cfg, passes)
+    def net(d_in: int, hidden: tuple[int, ...], d_out: int, critic: bool) -> _Net:
+        return _Net(MLPSpec(d_in, hidden, d_out), int(rng.integers(2**63)), cfg, critic)
 
-    critics = [net(cols(blocks), cfg.reg_hidden, 1, 2) for blocks, _ in critic_table]
-    gen = None if cond is None else net(d_noise + cols(cond), cfg.gen_hidden, width[swap], 1)
+    critics = [net(cols(blocks), cfg.reg_hidden, 1, True) for blocks, _ in critic_table]
+    gen = None if cond is None else net(d_noise + cols(cond), cfg.gen_hidden, width[swap], False)
     signs = [sign for _, sign in critic_table]
     names = ("first ", "second ") if len(critics) > 1 else ("",)
     batch = np.empty((b, data.shape[1]))
@@ -379,7 +392,7 @@ def _train_run(
         return stack([swapped if key == swap else rows[:, span[key]] for key in blocks], out)
 
     def gen_input(pick: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return stack([pick] + [rows[:, span[key]] for key in cond], gen.inputs[0])
+        return stack([pick] + [rows[:, span[key]] for key in cond], gen.inputs)
 
     def draw(count: int, out: np.ndarray | None) -> np.ndarray:
         """Fresh randomness for ``count`` product rows: a permutation of
@@ -393,7 +406,7 @@ def _train_run(
         if gen is None:
             out = permuted[: len(pick)]
             return np.take(source[:, span[swap]], pick, axis=0, out=out, mode="clip")
-        return mlp_forward(gen.params, gen_input(pick, rows), buffers=gen.buffers[0])
+        return mlp_forward(gen.params, gen_input(pick, rows), buffers=gen.buffers)
 
     sched = cfg.schedule()
     trace = [] if cfg.record_trace else None
@@ -408,21 +421,21 @@ def _train_run(
             swapped = swapped_block(rows, draw(b, noise), rows)
             for i, (critic, (blocks, _)) in enumerate(zip(critics, critic_table)):
                 label = "critic loss" if gen is None else f"{names[i]}regression loss"
-                joint_in = joint(rows, blocks, critic.inputs[0])
-                prod_in = product(rows, swapped, blocks, critic.inputs[1])
                 losses[i], hits = _critic_step(
-                    critic, joint_in, prod_in, gen is None, label, lr, step
+                    critic,
+                    lambda: joint(rows, blocks, critic.inputs),
+                    lambda: product(rows, swapped, blocks, critic.inputs),
+                    gen is None, label, lr, step,
                 )
                 clamp_hits += hits
 
         if gen is not None:
-            gen_buf = gen.buffers[0]
             gen_in = gen_input(draw(b, noise), rows)
-            swapped, cache_g = mlp_forward_cached(gen.params, gen_in, buffers=gen_buf)
+            swapped, cache_g = mlp_forward_cached(gen.params, gen_in, buffers=gen.buffers)
             scored = []
             for i, (critic, (blocks, _)) in enumerate(zip(critics, critic_table)):
-                prod_in = product(rows, swapped, blocks, critic.inputs[1])
-                s, cache = mlp_forward_cached(critic.params, prod_in, buffers=critic.buffers[1])
+                prod_in = product(rows, swapped, blocks, critic.inputs)
+                s, cache = mlp_forward_cached(critic.params, prod_in, buffers=critic.buffers)
                 scored.append((_finite(s, f"{names[i]}product scores", step), cache))
             l_gen = _total([-sign * log_mean_exp(s) for sign, (s, _) in zip(signs, scored)])
             _finite(l_gen, "generator loss", step)
@@ -431,12 +444,14 @@ def _train_run(
                 d_scores = -sign * softmax_weights(s.ravel())[:, None]
                 start = cols(blocks[: blocks.index(swap)])
                 d_input = mlp_backward_cached(
-                    critic.params, cache, d_scores, param_grads=False, buffers=critic.buffers[1]
+                    critic.params, cache, d_scores, param_grads=False, buffers=critic.buffers
                 ).inputs
                 d_swapped.append(d_input[:, start : start + width[swap]])
             d_gen = _total(d_swapped)
             gen.step(
-                mlp_backward_cached(gen.params, cache_g, d_gen, input_grad=False, buffers=gen_buf),
+                mlp_backward_cached(
+                    gen.params, cache_g, d_gen, input_grad=False, buffers=gen.buffers
+                ),
                 lr,
             )
         if trace is not None:
@@ -447,8 +462,8 @@ def _train_run(
     for start in starts:
         rows = data[start : start + b]
         for critic, (blocks, _), s in zip(critics, critic_table, joint_full):
-            joint_in = joint(rows, blocks, critic.inputs[0])
-            s_joint = mlp_forward(critic.params, joint_in, buffers=critic.buffers[0])
+            joint_in = joint(rows, blocks, critic.inputs)
+            s_joint = mlp_forward(critic.params, joint_in, buffers=critic.buffers)
             s[start : start + len(rows)] = s_joint.ravel()
     for s in joint_full:
         _finite(s, "joint scores", last)
@@ -462,8 +477,8 @@ def _train_run(
             rows = data[start : start + b]
             swapped = swapped_block(rows, picks[start : start + len(rows)], data)
             for critic, (blocks, _), s in zip(critics, critic_table, prod_full):
-                prod_in = product(rows, swapped, blocks, critic.inputs[1])
-                s_prod = mlp_forward(critic.params, prod_in, buffers=critic.buffers[1])
+                prod_in = product(rows, swapped, blocks, critic.inputs)
+                s_prod = mlp_forward(critic.params, prod_in, buffers=critic.buffers)
                 s[start : start + len(rows)] = s_prod.ravel()
         values = []
         for sign, s_joint, s_prod in zip(signs, joint_full, prod_full):

@@ -8,9 +8,7 @@ point ``i`` to its k-th nearest neighbour in the joint space,
 where ``nx_i`` counts marginal points strictly closer than ``eps_i``
 (the point itself excluded). CMI is the difference form
 ``I(X;YZ) - I(X;Z)``. Neighbour search uses kd-trees queried on every
-core (``workers=-1``); a quadratic reference implementation is kept
-alongside because the two must agree on every count exactly, not just on
-the final number. Chebyshev distances are maxima of absolute
+core (``workers=-1``). Chebyshev distances are maxima of absolute
 differences, hence exact floats whatever the traversal, and the counts
 are integers, so neither the thread count nor the tree shape can move
 an estimate.
@@ -141,18 +139,6 @@ def _neighbor_stats_kdtree(x: np.ndarray, y: np.ndarray, k: int):
     return eps, nx.astype(np.int64), ny.astype(np.int64)
 
 
-def _neighbor_stats_bruteforce(x: np.ndarray, y: np.ndarray, k: int):
-    """Quadratic reference for :func:`_neighbor_stats_kdtree` (tests only)."""
-    n = x.shape[0]
-    dx = np.abs(x[:, None, :] - x[None, :, :]).max(axis=2)
-    dy = np.abs(y[:, None, :] - y[None, :, :]).max(axis=2)
-    joint = np.maximum(dx, dy)
-    eps = np.sort(joint, axis=1)[:, k]
-    nx = (dx < eps[:, None]).sum(axis=1) - 1
-    ny = (dy < eps[:, None]).sum(axis=1) - 1
-    return eps, nx.astype(np.int64), ny.astype(np.int64)
-
-
 def ksg_mi_result(x, y, config: KSGConfig | None = None) -> KSGResult:
     """KSG estimator #1 with degeneracy reporting."""
     cfg = config or KSGConfig()
@@ -185,19 +171,6 @@ def ksg_mi_result(x, y, config: KSGConfig | None = None) -> KSGResult:
 def ksg_mi(x, y, config: KSGConfig | None = None) -> float:
     """MI estimate in nats; see :func:`ksg_mi_result` for flags."""
     return ksg_mi_result(x, y, config).value
-
-
-def ksg_mi_bruteforce(x, y, k: int = 5) -> float:
-    """Quadratic-time KSG #1, for cross-checking the kd-tree path."""
-    x = _as_block(x, "x")
-    y = _as_block(y, "y")
-    n = x.shape[0]
-    eps, nx, ny = _neighbor_stats_bruteforce(x, y, k)
-    if np.any(eps == 0.0):
-        raise ValueError("duplicate points; jitter before calling the reference")
-    _load_scipy()
-    terms = np.sort(digamma(nx + 1) + digamma(ny + 1))
-    return float(digamma(k) + digamma(n) - np.mean(terms))
 
 
 def ksg_cmi_result(x, y, z, config: KSGConfig | None = None) -> KSGResult:

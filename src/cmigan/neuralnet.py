@@ -14,9 +14,14 @@ every step and on every row block of an evaluation; the public passes
 called without one allocate one for that call. A forward cache holds
 only the layer inputs (the hidden ones post-ReLU, in the buffers' output
 arrays), so it is valid only until the next forward pass through the
-same buffers. The backward pass forms the input gradient and the
-parameter gradients only when asked for them, and RMSProp updates
-parameters and state in place (:func:`rmsprop_update`).
+same buffers. The backward pass consumes its cache: it writes each
+hidden layer's delta over the activation it has just read, so the
+buffers hold no per-layer delta, and it empties the cache list. It forms
+the input gradient and the parameter gradients only when asked for
+them, and RMSProp updates parameters and state in place
+(:func:`rmsprop_update`). Reusing storage that no two passes need at the
+same time is the in-place memory planning of Chen et al. 2016 ("Training
+Deep Nets with Sublinear Memory Cost"), without recomputation.
 
 A row's output bits can depend on how many rows share its pass. OpenBLAS
 computes the rows left over after its widest row panel with narrower
@@ -113,21 +118,23 @@ class MLPBuffers:
     """Arrays the passes of one network write into, for batches of up to
     ``rows`` rows.
 
-    ``outputs[i]`` holds layer ``i``'s output, ``masks[i]`` the ReLU mask
-    of hidden layer ``i``, ``deltas[i]`` the gradient with respect to
-    layer ``i``'s input and ``weights``/``biases`` the parameter
-    gradients. A batch of ``m <= rows`` rows uses the first ``m`` rows of
-    each array. A forward pass overwrites ``outputs``, so its cache is
-    valid only until the next forward pass through the same buffers; a
-    backward pass overwrites the rest.
+    ``outputs[i]`` holds layer ``i``'s output, which a backward pass
+    overwrites with the delta of the next layer's input; ``mask`` holds
+    one hidden layer's ReLU mask at a time, flat, and ``input_grad`` the
+    gradient with respect to the batch; ``weights``/``biases`` are the
+    parameter gradients. A batch of ``m <= rows`` rows uses the first
+    ``m`` rows of each array. A forward pass overwrites ``outputs``, so
+    its cache is valid only until the next forward pass through the same
+    buffers, or until the backward pass that consumes it; a backward pass
+    overwrites the rest.
     """
 
     def __init__(self, spec: MLPSpec, rows: int):
         dims = spec.layer_dims()
         self.rows = int(rows)
         self.outputs = [np.empty((self.rows, d)) for d in dims[1:]]
-        self.masks = [np.empty((self.rows, d), dtype=bool) for d in dims[1:-1]]
-        self.deltas = [np.empty((self.rows, d)) for d in dims[:-1]]
+        self.mask = np.empty(self.rows * max(dims[1:-1], default=0), dtype=bool)
+        self.input_grad = np.empty((self.rows, dims[0]))
         self.weights = [np.empty((a, b)) for a, b in zip(dims[:-1], dims[1:])]
         self.biases = [np.empty(d) for d in dims[1:]]
 
@@ -188,8 +195,9 @@ def mlp_forward_cached(params: MLPParams, batch: np.ndarray, *, buffers: MLPBuff
     the bias add and the ReLU then overwrite it in place; the caller's
     ``batch`` is never written. The cache feeds
     :func:`mlp_backward_cached`, which saves the training loops one
-    redundant forward pass per update, and is valid until the next
-    forward pass through the same buffers.
+    redundant forward pass per update and consumes the cache; it is
+    valid until then or until the next forward pass through the same
+    buffers.
     """
     batch = _check_batch(params, batch)
     rows = batch.shape[0]
@@ -215,27 +223,35 @@ def mlp_backward_cached(
     param_grads: bool = True,
     buffers: MLPBuffers | None = None,
 ) -> MLPGrads:
-    """Backward pass reusing the cache from :func:`mlp_forward_cached`.
+    """Backward pass consuming the cache from :func:`mlp_forward_cached`.
 
-    The ReLU mask of a hidden layer is read off its cached post-ReLU
-    output (``> 0`` exactly where the pre-activation is) and applied in
-    place to the propagated delta. With ``input_grad=False`` the pass
-    stops before the input layer's ``delta @ W0.T`` and returns
-    ``inputs=None``, for callers that only update the parameters; with
-    ``param_grads=False`` it forms no weight or bias gradient and
-    returns empty lists, for callers that only chain the input gradient
-    into another network. The gradients are views into ``buffers``
-    (fresh ones when not given), valid until its next backward pass.
+    A hidden layer's cached post-ReLU output is read twice, for its
+    weight gradient and for its ReLU mask (``> 0`` exactly where the
+    pre-activation is), which goes into ``buffers.mask``; the delta of
+    that layer's input is then written over it and masked in place. So
+    the pass empties ``cache``, and a second backward on it raises
+    ``ValueError``: run the forward pass again. The batch (the cache's
+    first entry) and ``upstream_grad`` are never written. With
+    ``input_grad=False`` the pass stops before the input layer's
+    ``delta @ W0.T`` and returns ``inputs=None``, for callers that only
+    update the parameters; with ``param_grads=False`` it forms no weight
+    or bias gradient and returns empty lists, for callers that only
+    chain the input gradient into another network. The gradients are
+    views into ``buffers`` (fresh ones when not given), valid until its
+    next backward pass.
     """
-    layer_inputs = cache
+    if not cache:
+        raise ValueError("a backward pass consumes its forward cache; run the forward pass again")
     upstream = np.asarray(upstream_grad, dtype=np.float64)
-    rows = layer_inputs[0].shape[0]
+    rows = cache[0].shape[0]
     out_shape = (rows, params.spec.output_dim)
     if upstream.shape != out_shape:
         raise ValueError(
             f"upstream gradient shape {upstream.shape} does not match output {out_shape}"
         )
     buffers = _buffers_for(params, rows, buffers)
+    layer_inputs = cache.copy()
+    cache.clear()
     n_layers = len(params.weights)
     g_w = buffers.weights if param_grads else []
     g_b = buffers.biases if param_grads else []
@@ -244,11 +260,15 @@ def mlp_backward_cached(
         if param_grads:
             np.matmul(layer_inputs[i].T, delta, out=g_w[i])
             np.sum(delta, axis=0, out=g_b[i])
-        if i == 0 and not input_grad:
-            return MLPGrads(g_w, g_b)
-        delta = np.matmul(delta, params.weights[i].T, out=buffers.deltas[i][:rows])
-        if i > 0:
-            mask = np.greater(layer_inputs[i], 0.0, out=buffers.masks[i - 1][:rows])
+        if i == 0:
+            if not input_grad:
+                return MLPGrads(g_w, g_b)
+            delta = np.matmul(delta, params.weights[0].T, out=buffers.input_grad[:rows])
+        else:
+            act = layer_inputs[i]
+            mask = buffers.mask[: act.size].reshape(act.shape)
+            np.greater(act, 0.0, out=mask)
+            delta = np.matmul(delta, params.weights[i].T, out=act)
             np.multiply(delta, mask, out=delta)
     return MLPGrads(g_w, g_b, delta)
 

@@ -5,12 +5,20 @@ probabilities so that score vectors built by exact repetition realize
 the enumerated expectations to float precision: the empirical mean over
 a vector with count(s) = P(s)*32 entries IS the expectation under P.
 Also a quadrature of the linear1 CMI integrand, an independent check
-on the closed-form truth.
+on the closed-form truth, and quadratic references for the fast paths of
+the package: KSG's neighbour counts (a reference kept alongside the
+kd-tree path because the two must agree on every count exactly, not
+just on the final number) and the pairwise AuROC.
 """
 
+import json
 import math
 
 import numpy as np
+
+from cmigan import knn
+from cmigan.citest import _check_labels
+from cmigan.datagen import ModelParams
 
 # P(x,y,z) in 32nds, all states positive, indexed [x, y, z]
 TOY_P = np.array(
@@ -137,3 +145,46 @@ def hex_floats(value):
     if isinstance(value, (list, tuple)):
         return [hex_floats(v) for v in value]
     return value
+
+
+def _neighbor_stats_bruteforce(x: np.ndarray, y: np.ndarray, k: int):
+    """Quadratic reference for ``cmigan.knn._neighbor_stats_kdtree``."""
+    dx = np.abs(x[:, None, :] - x[None, :, :]).max(axis=2)
+    dy = np.abs(y[:, None, :] - y[None, :, :]).max(axis=2)
+    joint = np.maximum(dx, dy)
+    eps = np.sort(joint, axis=1)[:, k]
+    nx = (dx < eps[:, None]).sum(axis=1) - 1
+    ny = (dy < eps[:, None]).sum(axis=1) - 1
+    return eps, nx.astype(np.int64), ny.astype(np.int64)
+
+
+def ksg_mi_bruteforce(x, y, k: int = 5) -> float:
+    """Quadratic-time KSG #1, for cross-checking the kd-tree path."""
+    x = knn._as_block(x, "x")
+    y = knn._as_block(y, "y")
+    n = x.shape[0]
+    eps, nx, ny = _neighbor_stats_bruteforce(x, y, k)
+    if np.any(eps == 0.0):
+        raise ValueError("duplicate points; jitter before calling the reference")
+    digamma = knn.digamma
+    terms = np.sort(digamma(nx + 1) + digamma(ny + 1))
+    return float(digamma(k) + digamma(n) - np.mean(terms))
+
+
+def auroc_bruteforce(scores, labels) -> float:
+    """Pairwise reference: mean over (pos, neg) pairs of 1/0.5/0."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    _check_labels(labels)
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
+    wins = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    return float((wins + 0.5 * ties) / (len(pos) * len(neg)))
+
+
+def read_sidecar(path: str) -> tuple[ModelParams, float | None]:
+    """The model parameters and ``true_cmi`` of a sidecar JSON."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return ModelParams.from_dict(doc), doc.get("true_cmi")

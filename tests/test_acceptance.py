@@ -13,23 +13,21 @@ import numpy as np
 import pytest
 
 from cmigan.bounds import ScorePair, dv_objective, fdiv_objective
-from cmigan.citest import auroc, auroc_bruteforce, run_cit_benchmark
+from cmigan.citest import auroc, run_cit_benchmark
 from cmigan.datagen import gen_cit, gen_gauss, gen_linear1, gen_linear3
 from cmigan.dataio import ColumnMapping, load_csv, save_csv
 from cmigan.estimators import EstimatorConfig, SampleSet, cmi_gan_estimate, mi_gan_estimate
-from cmigan.knn import (
-    _neighbor_stats_bruteforce,
-    _neighbor_stats_kdtree,
-    ksg_mi,
-    ksg_mi_bruteforce,
-)
+from cmigan.knn import _neighbor_stats_kdtree, ksg_mi
 from cmigan.neuralnet import ScheduleConfig, gradient_check, lr_at
 
 from oracle_tools import (
     JOINT_DENOM,
     PRODUCT_DENOM,
     TOY_P,
+    _neighbor_stats_bruteforce,
+    auroc_bruteforce,
     kl_y_given_z,
+    ksg_mi_bruteforce,
     optimal_scores,
     product_dist,
     repeated_scores,

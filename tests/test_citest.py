@@ -17,7 +17,6 @@ from cmigan.citest import (
     CITBenchReport,
     CITEntry,
     auroc,
-    auroc_bruteforce,
     ci_decide,
     run_cit_benchmark,
 )
@@ -25,7 +24,7 @@ from cmigan.datagen import gen_cit
 from cmigan import estimators
 from cmigan.estimators import EstimatorConfig, _parallel_map
 
-from oracle_tools import hex_floats
+from oracle_tools import auroc_bruteforce, hex_floats
 
 
 def test_import_does_not_load_scipy_stats():

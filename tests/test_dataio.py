@@ -18,7 +18,6 @@ from cmigan.dataio import (
     default_headers,
     load_csv,
     read_manifest,
-    read_sidecar,
     save_csv,
     sidecar_path,
     write_manifest,
@@ -26,6 +25,8 @@ from cmigan.dataio import (
 )
 from cmigan.datagen import gen_linear1, true_cmi
 from cmigan.estimators import SampleSet
+
+from oracle_tools import read_sidecar
 
 
 def _mapping(dz=1, **kw):

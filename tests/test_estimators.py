@@ -231,6 +231,42 @@ class TestMechanics:
                 tracemalloc.stop()
         assert (peaks[8192] - peaks[1024]) / (8192 - 1024) <= 256
 
+    def test_run_nets_hold_one_buffer_set(self, monkeypatch):
+        # the arrays a cmigan run's nets hold at train-ref shapes (linear3
+        # d=5, batch 4096, default nets), from the layer widths: per net its
+        # params, RMSProp state and the buffers' gradients (3 params-sized
+        # sets, 4 with a critic's joint accumulator), one input array, one
+        # output per layer, one input gradient and one bool mask as wide as
+        # the widest hidden layer; 19.8 MB in all, which a second critic
+        # buffer set or a per-layer delta array would break
+        nets = []
+
+        class Recorded(estimators._Net):
+            def __init__(self, *args):
+                super().__init__(*args)
+                nets.append(self)
+
+        def array_bytes(obj) -> int:
+            if isinstance(obj, np.ndarray):
+                return obj.nbytes
+            if isinstance(obj, (list, tuple)):
+                return sum(array_bytes(v) for v in obj)
+            return sum(array_bytes(v) for v in getattr(obj, "__dict__", {}).values())
+
+        monkeypatch.setattr(estimators, "_Net", Recorded)
+        b, d = 4096, 5
+        data = np.random.default_rng(0).standard_normal((b, 3 * d))
+        cfg = EstimatorConfig(training_steps=1, eval_passes=1)
+        estimators._train_run("cmigan", data, (d, d, d), cfg, seed=0)
+        critic_dims, gen_dims = (3 * d, 128, 32, 1), (2 * d, 256, 64, d)
+        expected = 0
+        for dims, param_sets in ((critic_dims, 4), (gen_dims, 3)):
+            params = sum(a * c + c for a, c in zip(dims[:-1], dims[1:]))
+            floats = param_sets * params + b * (2 * dims[0] + sum(dims[1:]))
+            expected += 8 * floats + b * max(dims[1:-1])
+        assert [n.params.spec.layer_dims() for n in nets] == [critic_dims, gen_dims]
+        assert sum(array_bytes(n) for n in nets) == expected == 19_805_336
+
     def test_parallel_jobs_match_serial(self):
         s = _toy_cmi_samples()
         serial = cmi_gan_estimate(s, TINY, jobs=1)

@@ -10,15 +10,15 @@ import pytest
 import cmigan.knn
 from cmigan.knn import (
     KSGConfig,
-    _neighbor_stats_bruteforce,
     _neighbor_stats_kdtree,
     ground_truth_nonlinear,
     ksg_cmi,
     ksg_cmi_result,
     ksg_mi,
-    ksg_mi_bruteforce,
     ksg_mi_result,
 )
+
+from oracle_tools import _neighbor_stats_bruteforce, ksg_mi_bruteforce
 
 
 def _correlated_pair(n, rho, seed):

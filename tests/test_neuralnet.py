@@ -199,6 +199,7 @@ def test_backward_without_input_grad_matches_full_backward():
     for p, x, u in ((params, batch, upstream), _signed_zero_net()):
         _, cache = mlp_forward_cached(p, x)
         full = mlp_backward_cached(p, cache, u)
+        _, cache = mlp_forward_cached(p, x)
         short = mlp_backward_cached(p, cache, u, input_grad=False)
         assert short.inputs is None and full.inputs is not None
         for a, b in zip(full.weights + full.biases, short.weights + short.biases):
@@ -214,6 +215,7 @@ def test_backward_input_grad_only_matches_full_backward():
     for p, x, u in ((params, batch, upstream), _signed_zero_net()):
         _, cache = mlp_forward_cached(p, x)
         full = mlp_backward_cached(p, cache, u)
+        _, cache = mlp_forward_cached(p, x)
         only = mlp_backward_cached(p, cache, u, param_grads=False)
         assert only.weights == [] and only.biases == []
         assert only.inputs.tobytes() == full.inputs.tobytes()
@@ -241,6 +243,57 @@ def test_reused_buffers_match_fresh_passes():
         mlp_forward(params, np.zeros((17, 3)), buffers=buffers)
 
 
+_FLAG_PAIRS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def _contract_cases():
+    """(params, batch, upstream, buffers) for nets with 0, 1 and 3 hidden
+    layers, each at the buffers' full 16 rows and at 5 rows."""
+    rng = np.random.default_rng(21)
+    for hidden in ((), (6,), (7, 5, 4)):
+        spec = MLPSpec(3, hidden, 2)
+        params = mlp_init(spec, seed=len(hidden))
+        buffers = MLPBuffers(spec, 16)
+        for rows in (16, 5):
+            yield params, rng.normal(size=(rows, 3)), rng.normal(size=(rows, 2)), buffers
+
+
+def test_bitwise_contract_cached_backward_equals_full_backward():
+    # each pass reuses buffers that the passes before it dirtied, and never
+    # writes the caller's batch or upstream gradient
+    for params, batch, upstream, buffers in _contract_cases():
+        batch_bytes, upstream_bytes = batch.tobytes(), upstream.tobytes()
+        fresh = mlp_backward(params, batch, upstream)
+        for input_grad, param_grads in _FLAG_PAIRS:
+            _, cache = mlp_forward_cached(params, batch, buffers=buffers)
+            grads = mlp_backward_cached(
+                params, cache, upstream,
+                input_grad=input_grad, param_grads=param_grads, buffers=buffers,
+            )
+            assert cache == []
+            assert batch.tobytes() == batch_bytes
+            assert upstream.tobytes() == upstream_bytes
+            if param_grads:
+                for a, b in zip(grads.weights + grads.biases, fresh.weights + fresh.biases):
+                    assert a.tobytes() == b.tobytes()
+            else:
+                assert grads.weights == [] and grads.biases == []
+            if input_grad:
+                assert grads.inputs.tobytes() == fresh.inputs.tobytes()
+            else:
+                assert grads.inputs is None
+
+
+def test_bitwise_contract_second_backward_on_a_cache_raises():
+    for params, batch, upstream, buffers in _contract_cases():
+        for input_grad, param_grads in _FLAG_PAIRS:
+            _, cache = mlp_forward_cached(params, batch, buffers=buffers)
+            flags = dict(input_grad=input_grad, param_grads=param_grads, buffers=buffers)
+            mlp_backward_cached(params, cache, upstream, **flags)
+            with pytest.raises(ValueError, match="consumes its forward cache"):
+                mlp_backward_cached(params, cache, upstream, **flags)
+
+
 def test_passes_leave_caller_arrays_unchanged():
     params, batch, upstream = _signed_zero_net()
     batch_bytes, upstream_bytes = batch.tobytes(), upstream.tobytes()
@@ -255,6 +308,7 @@ def test_add_grads_without_input_grads():
     params, batch, upstream = _signed_zero_net()
     _, cache = mlp_forward_cached(params, batch)
     a = mlp_backward_cached(params, cache, upstream, input_grad=False)
+    _, cache = mlp_forward_cached(params, batch)
     b = mlp_backward_cached(params, cache, -2.0 * upstream, input_grad=False)
     total = add_grads(a, b)
     assert total.inputs is None
