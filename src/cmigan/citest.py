@@ -91,14 +91,9 @@ class CITBenchReport:
 
 
 def _score(samples, estimator: str, cfg: EstimatorConfig, ksg_config: KSGConfig | None):
-    """(score, None) for one dataset, or (None, error) when its estimate fails."""
-    try:
-        rep = estimate(samples, estimator, cfg, jobs=1, ksg_config=ksg_config)
-        if not rep.per_run or not np.isfinite(rep.mean):
-            raise RuntimeError("all runs failed")
-        return rep.mean, None
-    except RuntimeError as exc:
-        return None, str(exc)
+    """(score, None) for one dataset, or (None, error) when all its runs fail."""
+    rep = estimate(samples, estimator, cfg, jobs=1, ksg_config=ksg_config)
+    return (None, "all runs failed") if rep.all_failed else (rep.mean, None)
 
 
 def run_cit_benchmark(

@@ -323,7 +323,7 @@ def cmd_estimate(args) -> int:
     for _, run in _labelled_runs(report_dict, cfg.seed):
         run.pop("trace", None)
     _write_report(args.out, run_config, report_dict, wall)
-    if not report.per_run or not np.isfinite(report.mean):
+    if report.all_failed:
         log.error("all %d runs failed", cfg.runs)
         return EXIT_NUMERICAL
     return EXIT_OK

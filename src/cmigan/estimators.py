@@ -230,6 +230,11 @@ class EstimateReport:
     failed_runs: list[dict] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
+    @property
+    def all_failed(self) -> bool:
+        """No estimate: every run failed or the mean is not finite."""
+        return not self.per_run or not np.isfinite(self.mean)
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -253,10 +258,11 @@ def _finite(value, what: str, step: int):
 class _Net:
     """A network's parameters, its RMSProp state and the arrays of its
     passes, allocated once for the run's batch size: one input array and
-    the :class:`MLPBuffers` that every pass writes into, so the net holds
-    one forward cache at a time. A critic also keeps ``joint_grads``, a
-    params-sized array set for its joint pass's gradients while its
-    product pass reuses the buffers."""
+    the :class:`MLPBuffers` that every pass writes into. The buffers hold
+    the net's one forward cache: a cached forward records it there, the
+    backward consumes it and an uncached forward clears it. A critic
+    also keeps ``joint_grads``, a params-sized array set for its joint
+    pass's gradients while its product pass reuses the buffers."""
 
     def __init__(self, spec: MLPSpec, seed: int, cfg: EstimatorConfig, critic: bool):
         self.params = mlp_init(spec, seed)
@@ -268,9 +274,6 @@ class _Net:
                 [np.empty_like(w) for w in self.params.weights],
                 [np.empty_like(b) for b in self.params.biases],
             )
-
-    def step(self, grads, lr: float):
-        rmsprop_update(self.params, grads, self.state, lr)
 
 
 # estimator id -> (swapped block, critics as (blocks read, sign), blocks
@@ -303,21 +306,21 @@ def _total(terms: list):
 def _critic_step(net: _Net, joint_input, product_input, fdiv: bool, label: str, lr: float, step: int):
     """One critic update on a joint and a product batch, which
     ``joint_input()`` and ``product_input()`` write into the critic's
-    input array. The passes share one buffer set, in the order joint
-    forward, joint backward, product forward, product backward; the joint
-    gradients wait in ``net.joint_grads`` and the joint scores in a copy.
+    input array. The passes share the critic's one buffer set, in the
+    order joint forward, joint backward, product forward, product
+    backward: each backward consumes the forward cache that the forward
+    before it left in the set. The joint gradients wait in
+    ``net.joint_grads`` and the joint scores in a copy.
     Returns the loss (the negated objective) and the number of clamped
     product scores, which only the f-divergence objective has."""
-    buf, joint_grads = net.buffers, net.joint_grads
-    s_joint, cache = mlp_forward_cached(net.params, joint_input(), buffers=buf)
+    params, buf, joint_grads = net.params, net.buffers, net.joint_grads
+    s_joint, _ = mlp_forward_cached(params, joint_input(), buffers=buf)
     s_joint = _finite(s_joint, "joint scores", step).copy()
     b = s_joint.shape[0]
-    grads = mlp_backward_cached(
-        net.params, cache, np.full((b, 1), -1.0 / b), input_grad=False, buffers=buf
-    )
+    grads = mlp_backward_cached(params, buf, np.full((b, 1), -1.0 / b), input_grad=False)
     for acc, g in zip(joint_grads.weights + joint_grads.biases, grads.weights + grads.biases):
         np.copyto(acc, g)
-    s_prod, cache = mlp_forward_cached(net.params, product_input(), buffers=buf)
+    s_prod, _ = mlp_forward_cached(params, product_input(), buffers=buf)
     _finite(s_prod, "product scores", step)
     clamp_hits = 0
     if fdiv:
@@ -326,10 +329,8 @@ def _critic_step(net: _Net, joint_input, product_input, fdiv: bool, label: str, 
     else:
         loss = _finite(-float(s_joint.mean()) + log_mean_exp(s_prod), label, step)
         g_prod = softmax_weights(s_prod.ravel())
-    grads_prod = mlp_backward_cached(
-        net.params, cache, g_prod[:, None], input_grad=False, buffers=buf
-    )
-    net.step(add_grads(joint_grads, grads_prod, out=joint_grads), lr)
+    grads_prod = mlp_backward_cached(params, buf, g_prod[:, None], input_grad=False)
+    rmsprop_update(params, add_grads(joint_grads, grads_prod, out=joint_grads), net.state, lr)
     return loss, clamp_hits
 
 
@@ -431,29 +432,21 @@ def _train_run(
 
         if gen is not None:
             gen_in = gen_input(draw(b, noise), rows)
-            swapped, cache_g = mlp_forward_cached(gen.params, gen_in, buffers=gen.buffers)
-            scored = []
-            for i, (critic, (blocks, _)) in enumerate(zip(critics, critic_table)):
+            swapped, _ = mlp_forward_cached(gen.params, gen_in, buffers=gen.buffers)
+            terms, d_swapped = [], []
+            for i, (critic, (blocks, sign)) in enumerate(zip(critics, critic_table)):
                 prod_in = product(rows, swapped, blocks, critic.inputs)
-                s, cache = mlp_forward_cached(critic.params, prod_in, buffers=critic.buffers)
-                scored.append((_finite(s, f"{names[i]}product scores", step), cache))
-            l_gen = _total([-sign * log_mean_exp(s) for sign, (s, _) in zip(signs, scored)])
-            _finite(l_gen, "generator loss", step)
-            d_swapped = []
-            for critic, (blocks, sign), (s, cache) in zip(critics, critic_table, scored):
+                s, _ = mlp_forward_cached(critic.params, prod_in, buffers=critic.buffers)
+                _finite(s, f"{names[i]}product scores", step)
+                terms.append(-sign * log_mean_exp(s))
                 d_scores = -sign * softmax_weights(s.ravel())[:, None]
+                d_in = mlp_backward_cached(critic.params, critic.buffers, d_scores, param_grads=False)
                 start = cols(blocks[: blocks.index(swap)])
-                d_input = mlp_backward_cached(
-                    critic.params, cache, d_scores, param_grads=False, buffers=critic.buffers
-                ).inputs
-                d_swapped.append(d_input[:, start : start + width[swap]])
+                d_swapped.append(d_in.inputs[:, start : start + width[swap]])
+            l_gen = _finite(_total(terms), "generator loss", step)
             d_gen = _total(d_swapped)
-            gen.step(
-                mlp_backward_cached(
-                    gen.params, cache_g, d_gen, input_grad=False, buffers=gen.buffers
-                ),
-                lr,
-            )
+            grads = mlp_backward_cached(gen.params, gen.buffers, d_gen, input_grad=False)
+            rmsprop_update(gen.params, grads, gen.state, lr)
         if trace is not None:
             trace.append((step, _total(losses), l_gen))
 

@@ -11,13 +11,15 @@ The passes write every layer output, ReLU mask, delta and gradient into
 the arrays of an :class:`MLPBuffers`, never into a caller's array. A
 training loop allocates one per network and batch size and reuses it on
 every step and on every row block of an evaluation; the public passes
-called without one allocate one for that call. A forward cache holds
-only the layer inputs (the hidden ones post-ReLU, in the buffers' output
-arrays), so it is valid only until the next forward pass through the
-same buffers. The backward pass consumes its cache: it writes each
-hidden layer's delta over the activation it has just read, so the
-buffers hold no per-layer delta, and it empties the cache list. It forms
-the input gradient and the parameter gradients only when asked for
+called without one allocate one for that call. The set is its own
+forward cache: a cached forward pass records the layer inputs (the batch
+and the hidden layers' post-ReLU outputs, which live in the set's output
+arrays) in the set, and an uncached forward pass clears that record, so
+only the last cached forward through a set can be backpropagated. The
+backward pass consumes the record: it writes each hidden layer's delta
+over the activation it has just read, so the set holds no per-layer
+delta, and a second backward without a new cached forward raises. It
+forms the input gradient and the parameter gradients only when asked for
 them, and RMSProp updates parameters and state in place
 (:func:`rmsprop_update`). Reusing storage that no two passes need at the
 same time is the in-place memory planning of Chen et al. 2016 ("Training
@@ -116,17 +118,18 @@ class MLPGrads:
 
 class MLPBuffers:
     """Arrays the passes of one network write into, for batches of up to
-    ``rows`` rows.
+    ``rows`` rows, and the forward cache they hold.
 
     ``outputs[i]`` holds layer ``i``'s output, which a backward pass
     overwrites with the delta of the next layer's input; ``mask`` holds
     one hidden layer's ReLU mask at a time, flat, and ``input_grad`` the
     gradient with respect to the batch; ``weights``/``biases`` are the
     parameter gradients. A batch of ``m <= rows`` rows uses the first
-    ``m`` rows of each array. A forward pass overwrites ``outputs``, so
-    its cache is valid only until the next forward pass through the same
-    buffers, or until the backward pass that consumes it; a backward pass
-    overwrites the rest.
+    ``m`` rows of each array. ``layer_inputs`` records the layer inputs
+    of the last :func:`mlp_forward_cached` through the set (the batch,
+    then views of the hidden ``outputs``); the backward pass that
+    consumes them, and any uncached forward pass through the set, leave
+    it empty.
     """
 
     def __init__(self, spec: MLPSpec, rows: int):
@@ -137,15 +140,7 @@ class MLPBuffers:
         self.input_grad = np.empty((self.rows, dims[0]))
         self.weights = [np.empty((a, b)) for a, b in zip(dims[:-1], dims[1:])]
         self.biases = [np.empty(d) for d in dims[1:]]
-
-
-def _buffers_for(params: MLPParams, rows: int, buffers: MLPBuffers | None) -> MLPBuffers:
-    """``buffers`` when they hold ``rows`` rows; fresh ones for one call when none are given."""
-    if buffers is None:
-        return MLPBuffers(params.spec, rows)
-    if rows > buffers.rows:
-        raise ValueError(f"batch of {rows} rows exceeds the buffers' {buffers.rows}")
-    return buffers
+        self.layer_inputs: list[np.ndarray] = []
 
 
 def mlp_init(spec: MLPSpec, seed: int) -> MLPParams:
@@ -181,28 +176,33 @@ def mlp_forward(
 ) -> np.ndarray:
     """Evaluate the network on a batch, returning ``(n, output_dim)`` scores.
 
-    The scores are a view into ``buffers`` (fresh ones when not given).
+    The scores are a view into ``buffers`` (fresh ones when not given),
+    and the pass clears their forward cache.
     """
-    return mlp_forward_cached(params, batch, buffers=buffers)[0]
+    scores, buffers = mlp_forward_cached(params, batch, buffers=buffers)
+    buffers.layer_inputs = []
+    return scores
 
 
 def mlp_forward_cached(params: MLPParams, batch: np.ndarray, *, buffers: MLPBuffers | None = None):
-    """Like :func:`mlp_forward` but also returns the activation cache: the
-    input of every layer (the batch, then each hidden layer's post-ReLU
-    activations).
+    """Like :func:`mlp_forward` but returns ``(scores, buffers)`` with the
+    forward cache recorded in ``buffers.layer_inputs``: the input of every
+    layer (the batch, then each hidden layer's post-ReLU activations).
 
-    Each layer's matmul writes into its output array in ``buffers``, and
-    the bias add and the ReLU then overwrite it in place; the caller's
-    ``batch`` is never written. The cache feeds
-    :func:`mlp_backward_cached`, which saves the training loops one
-    redundant forward pass per update and consumes the cache; it is
-    valid until then or until the next forward pass through the same
-    buffers.
+    Each layer's matmul writes into its output array in ``buffers``
+    (fresh ones when not given), and the bias add and the ReLU then
+    overwrite it in place; the caller's ``batch`` is never written. The
+    cache feeds :func:`mlp_backward_cached`, which saves the training
+    loops one redundant forward pass per update and consumes it; the next
+    forward pass through the same buffers replaces or clears it.
     """
     batch = _check_batch(params, batch)
     rows = batch.shape[0]
-    buffers = _buffers_for(params, rows, buffers)
-    layer_inputs = [batch]
+    if buffers is None:
+        buffers = MLPBuffers(params.spec, rows)
+    elif rows > buffers.rows:
+        raise ValueError(f"batch of {rows} rows exceeds the buffers' {buffers.rows}")
+    buffers.layer_inputs = [batch]
     h = batch
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -210,48 +210,47 @@ def mlp_forward_cached(params: MLPParams, batch: np.ndarray, *, buffers: MLPBuff
         h += b
         if i < last:
             np.maximum(h, 0.0, out=h)
-            layer_inputs.append(h)
-    return h, layer_inputs
+            buffers.layer_inputs.append(h)
+    return h, buffers
 
 
 def mlp_backward_cached(
     params: MLPParams,
-    cache,
+    buffers: MLPBuffers,
     upstream_grad: np.ndarray,
     *,
     input_grad: bool = True,
     param_grads: bool = True,
-    buffers: MLPBuffers | None = None,
 ) -> MLPGrads:
-    """Backward pass consuming the cache from :func:`mlp_forward_cached`.
+    """Backward pass consuming the forward cache that the last
+    :func:`mlp_forward_cached` through ``buffers`` recorded there.
 
     A hidden layer's cached post-ReLU output is read twice, for its
     weight gradient and for its ReLU mask (``> 0`` exactly where the
     pre-activation is), which goes into ``buffers.mask``; the delta of
     that layer's input is then written over it and masked in place. So
-    the pass empties ``cache``, and a second backward on it raises
-    ``ValueError``: run the forward pass again. The batch (the cache's
-    first entry) and ``upstream_grad`` are never written. With
+    the pass empties the cache, and a backward on buffers without one (a
+    second backward, or one after an uncached forward) raises
+    ``ValueError``: run the cached forward pass again. The batch (the
+    cache's first entry) and ``upstream_grad`` are never written. With
     ``input_grad=False`` the pass stops before the input layer's
     ``delta @ W0.T`` and returns ``inputs=None``, for callers that only
     update the parameters; with ``param_grads=False`` it forms no weight
     or bias gradient and returns empty lists, for callers that only
     chain the input gradient into another network. The gradients are
-    views into ``buffers`` (fresh ones when not given), valid until its
-    next backward pass.
+    views into ``buffers``, valid until its next backward pass.
     """
-    if not cache:
+    layer_inputs = buffers.layer_inputs
+    if not layer_inputs:
         raise ValueError("a backward pass consumes its forward cache; run the forward pass again")
     upstream = np.asarray(upstream_grad, dtype=np.float64)
-    rows = cache[0].shape[0]
+    rows = layer_inputs[0].shape[0]
     out_shape = (rows, params.spec.output_dim)
     if upstream.shape != out_shape:
         raise ValueError(
             f"upstream gradient shape {upstream.shape} does not match output {out_shape}"
         )
-    buffers = _buffers_for(params, rows, buffers)
-    layer_inputs = cache.copy()
-    cache.clear()
+    buffers.layer_inputs = []
     n_layers = len(params.weights)
     g_w = buffers.weights if param_grads else []
     g_b = buffers.biases if param_grads else []
@@ -274,7 +273,8 @@ def mlp_backward_cached(
 
 
 def mlp_backward(params: MLPParams, batch: np.ndarray, upstream_grad: np.ndarray) -> MLPGrads:
-    """Exact gradients of ``sum_i <upstream_grad_i, output_i>``.
+    """Exact gradients of ``sum_i <upstream_grad_i, output_i>``, from one
+    buffer set that both passes write into.
 
     Parameters
     ----------
@@ -290,8 +290,7 @@ def mlp_backward(params: MLPParams, batch: np.ndarray, upstream_grad: np.ndarray
         Weight/bias gradients shaped like ``params`` plus the gradient
         with respect to ``batch``.
     """
-    _, cache = mlp_forward_cached(params, batch)
-    return mlp_backward_cached(params, cache, upstream_grad)
+    return mlp_backward_cached(params, mlp_forward_cached(params, batch)[1], upstream_grad)
 
 
 def add_grads(a: MLPGrads, b: MLPGrads, *, out: MLPGrads | None = None) -> MLPGrads:
@@ -495,7 +494,7 @@ def gradient_check(
             params = mlp_init(spec, seed=int(rng.integers(2**31)))
             batch = rng.normal(size=(int(rng.integers(2, 6)), spec.input_dim))
             upstream = rng.normal(size=(batch.shape[0], spec.output_dim))
-            _, ins = mlp_forward_cached(params, batch)
+            ins = mlp_forward_cached(params, batch)[1].layer_inputs
             hidden = zip(ins, params.weights[:-1], params.biases[:-1])
             margin = min((float(np.abs(x @ w + b).min()) for x, w, b in hidden), default=1.0)
             if margin > 5e-3:

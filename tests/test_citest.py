@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmigan
+from cmigan import citest
 from cmigan.citest import (
     DEFAULT_THRESHOLD,
     CITBenchReport,
@@ -177,6 +179,21 @@ class TestBenchmark:
         s, _, _ = gen_cit(100, 1, False, seed=0)
         with pytest.raises(ValueError):
             run_cit_benchmark([(s, "yes")], "ksg")
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            run_cit_benchmark(_suite(n_each=1), "ksg", threshold=threshold)
+
+    def test_scoring_errors_are_not_excluded_datasets(self, monkeypatch):
+        # only a dataset whose runs all fail is excluded; any other error
+        # raised while scoring reaches the caller
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(citest, "estimate", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_cit_benchmark(_suite(n_each=1), "ksg")
 
     def test_to_dict_round_trip_fields(self):
         rep = run_cit_benchmark(_suite(n_each=1), "ksg")

@@ -437,6 +437,15 @@ class TestGradcheck:
         assert doc["num_nets"] == 5
         assert doc["worst_rel_err"] < 1e-4
 
+    def test_failed_check_prints_its_report_and_exits_4(self, capsys, caplog):
+        # the same nets pass at the default --tol 1e-4
+        code = main(["-q", "gradcheck", "--nets", "3", "--tol", "1e-12"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_NUMERICAL
+        assert doc["passed"] is False
+        assert len(doc["failures"]) == 36
+        assert "gradient check FAILED" in caplog.text
+
     @pytest.mark.parametrize("flag, value", [
         ("--h", "0"), ("--h", "nan"), ("--tol", "nan"), ("--nets", "0"), ("--nets", "-1"),
     ])
@@ -613,6 +622,11 @@ _FILES = {
         "command": "estimate", "estimator": "ksg", "dataset": _TINY_MODEL,
         "estimator_config": {}, "ksg": {"k": 5}, "threshold": None,
     }),
+    "replay-bad-kind.json": json.dumps({
+        "command": "estimate", "estimator": "ksg", "dataset": {"kind": "bogus"},
+        "estimator_config": {},
+    }),
+    "replay-non-object.json": json.dumps({"run_config": [1]}),
 }
 
 # each row: an id, the argv after "-q", where "{tmp}" stands for the test's
@@ -730,6 +744,10 @@ _EXIT_CODES = [
      None, EXIT_OK, ""),
     ("no-estimator", ["estimate", "--model", "linear1", "--n", "50"],
      None, EXIT_USAGE, "--estimator is required unless --config is given"),
+    ("replay-bad-kind", ["estimate", "--config", "{tmp}/replay-bad-kind.json"],
+     None, EXIT_USAGE, "unknown dataset kind 'bogus'"),
+    ("replay-non-object", ["estimate", "--config", "{tmp}/replay-non-object.json"],
+     None, EXIT_USAGE, "replay-non-object.json: run_config must be a JSON object"),
 ]
 
 

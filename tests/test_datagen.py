@@ -217,3 +217,5 @@ def test_invalid_inputs():
             gen(100, 1, seed=-1)
     with pytest.raises(ValueError):
         ModelParams(model="unknown", n=10, dx=1, dy=1, dz=1, seed=0)
+    with pytest.raises(ValueError, match="unknown model 'bogus'"):
+        generate("bogus", 10, 0)

@@ -23,6 +23,7 @@ from cmigan.dataio import (
     write_manifest,
     write_sidecar,
 )
+from cmigan import dataio
 from cmigan.datagen import gen_linear1, true_cmi
 from cmigan.estimators import SampleSet
 
@@ -186,7 +187,7 @@ def test_whole_header_needs_dims_to_cover_every_column(tmp_path):
     assert load_csv(str(path), ColumnMapping.from_dims((1, 1, 1)), whole_header=True).kept_rows == 1
 
 
-def test_error_cases(tmp_path):
+def test_error_cases(tmp_path, monkeypatch):
     with pytest.raises(DataError):
         load_csv(str(tmp_path / "nope.csv"), _mapping())
 
@@ -214,6 +215,13 @@ def test_error_cases(tmp_path):
 
     with pytest.raises(DataError):
         ColumnMapping(x_cols=[], y_cols=["y0"])
+
+    # the size guard, read at call time
+    big = tmp_path / "big.csv"
+    big.write_text("x0,y0,z0\n1,2,3\n")
+    monkeypatch.setattr(dataio, "MAX_CSV_BYTES", 8)
+    with pytest.raises(DataError, match="exceeds the 8 byte limit"):
+        load_csv(str(big), _mapping())
 
 
 @pytest.mark.parametrize("text, semicolon, error", [

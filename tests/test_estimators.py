@@ -65,6 +65,16 @@ class TestSampleSet:
         with pytest.raises(ValueError):
             SampleSet(np.zeros((10, 3)), (1, 1, 2))
 
+    @pytest.mark.parametrize("data, dims, error", [
+        (np.zeros(4), (1, 1, 2), "data must be 2-d"),
+        (np.zeros((10, 4)), (1, 3), "dims must be"),
+        (np.zeros((10, 4)), (1, 1, -1), "need dx >= 1, dy >= 1, dz >= 0"),
+        (np.zeros((10, 4)), (0, 2, 2), "need dx >= 1, dy >= 1, dz >= 0"),
+    ], ids=["1-d-data", "two-dims", "negative-dz", "zero-dx"])
+    def test_rejects_bad_shape_or_dims(self, data, dims, error):
+        with pytest.raises(ValueError, match=error):
+            SampleSet(data, dims)
+
     def test_rejects_nonfinite(self):
         data = np.zeros((10, 4))
         data[3, 1] = np.nan

@@ -230,6 +230,8 @@ def test_ground_truth_nonlinear_requires_unit_vector():
     y = rng.standard_normal((100, 1))
     with pytest.raises(ValueError):
         ground_truth_nonlinear(x, y, z, np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="a_zy has length 2, z has 3 columns"):
+        ground_truth_nonlinear(x, y, z, np.array([0.6, 0.8]))
 
 
 def test_ground_truth_nonlinear_collapses_conditioning():
@@ -258,3 +260,7 @@ def test_validation_errors():
         KSGConfig(k=0)
     with pytest.raises(ValueError):
         ksg_mi(np.full((10, 1), np.nan), x)
+    with pytest.raises(ValueError, match="x must be 1-d or 2-d"):
+        ksg_mi(np.zeros((10, 1, 1)), x)
+    with pytest.raises(ValueError, match="x, y, z must have the same number of rows"):
+        ksg_cmi_result(x, x, x[:5])

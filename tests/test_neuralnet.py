@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,8 @@ def test_forward_dimension_mismatch():
     params = mlp_init(MLPSpec(4, (8,), 2), seed=0)
     with pytest.raises(ValueError):
         mlp_forward(params, np.zeros((5, 3)))
+    with pytest.raises(ValueError, match="batch must be 2-d"):
+        mlp_forward(params, np.zeros(4))
     with pytest.raises(ValueError):
         mlp_backward(params, np.zeros((5, 4)), np.zeros((5, 3)))
 
@@ -234,7 +237,7 @@ def test_reused_buffers_match_fresh_passes():
         out, cache = mlp_forward_cached(params, batch, buffers=buffers)
         assert np.shares_memory(out, buffers.outputs[-1])
         assert out.tobytes() == mlp_forward(params, batch).tobytes()
-        grads = mlp_backward_cached(params, cache, upstream, buffers=buffers)
+        grads = mlp_backward_cached(params, cache, upstream)
         fresh = mlp_backward(params, batch, upstream)
         for a, b in zip(grads.weights + grads.biases + [grads.inputs],
                         fresh.weights + fresh.biases + [fresh.inputs]):
@@ -267,10 +270,9 @@ def test_bitwise_contract_cached_backward_equals_full_backward():
         for input_grad, param_grads in _FLAG_PAIRS:
             _, cache = mlp_forward_cached(params, batch, buffers=buffers)
             grads = mlp_backward_cached(
-                params, cache, upstream,
-                input_grad=input_grad, param_grads=param_grads, buffers=buffers,
+                params, cache, upstream, input_grad=input_grad, param_grads=param_grads
             )
-            assert cache == []
+            assert cache.layer_inputs == []
             assert batch.tobytes() == batch_bytes
             assert upstream.tobytes() == upstream_bytes
             if param_grads:
@@ -288,10 +290,48 @@ def test_bitwise_contract_second_backward_on_a_cache_raises():
     for params, batch, upstream, buffers in _contract_cases():
         for input_grad, param_grads in _FLAG_PAIRS:
             _, cache = mlp_forward_cached(params, batch, buffers=buffers)
-            flags = dict(input_grad=input_grad, param_grads=param_grads, buffers=buffers)
+            flags = dict(input_grad=input_grad, param_grads=param_grads)
             mlp_backward_cached(params, cache, upstream, **flags)
             with pytest.raises(ValueError, match="consumes its forward cache"):
                 mlp_backward_cached(params, cache, upstream, **flags)
+
+
+def test_bitwise_contract_backward_after_an_uncached_forward_raises():
+    # an uncached forward through the set clears the cache a cached one left
+    for params, batch, upstream, buffers in _contract_cases():
+        mlp_forward_cached(params, batch, buffers=buffers)
+        mlp_forward(params, batch, buffers=buffers)
+        assert buffers.layer_inputs == []
+        with pytest.raises(ValueError, match="consumes its forward cache"):
+            mlp_backward_cached(params, buffers, upstream)
+
+
+def test_bitwise_contract_backward_follows_the_last_cached_forward():
+    # a second cached forward through the set replaces the first one's cache
+    rng = np.random.default_rng(22)
+    for params, batch, upstream, buffers in _contract_cases():
+        mlp_forward_cached(params, rng.normal(size=(16, 3)), buffers=buffers)
+        mlp_forward_cached(params, batch, buffers=buffers)
+        grads = mlp_backward_cached(params, buffers, upstream)
+        fresh = mlp_backward(params, batch, upstream)
+        for a, b in zip(grads.weights + grads.biases + [grads.inputs],
+                        fresh.weights + fresh.biases + [fresh.inputs]):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_bitwise_contract_mlp_backward_writes_one_buffer_set():
+    # both of its passes write into one set, 12.18e6 bytes for this net
+    # and batch; a second set would double the peak
+    params = mlp_init(MLPSpec(10, (256, 64), 5), seed=0)
+    rng = np.random.default_rng(23)
+    batch, upstream = rng.normal(size=(4096, 10)), rng.normal(size=(4096, 5))
+    tracemalloc.start()
+    try:
+        mlp_backward(params, batch, upstream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13e6
 
 
 def test_passes_leave_caller_arrays_unchanged():
@@ -495,5 +535,7 @@ def test_schedule_validation():
             ScheduleConfig(1e-3, 1000, factor)
     with pytest.raises(ValueError):
         ScheduleConfig(1e-3, 1000, 10.0, mode="linear")
+    with pytest.raises(ValueError, match="total_steps must be positive"):
+        ScheduleConfig(1e-3, 1000, 10.0, total_steps=0)
     with pytest.raises(ValueError):
         lr_at(-1, ScheduleConfig(1e-3, 1000, 10.0))
