@@ -290,7 +290,8 @@ def mlp_backward(params: MLPParams, batch: np.ndarray, upstream_grad: np.ndarray
         Weight/bias gradients shaped like ``params`` plus the gradient
         with respect to ``batch``.
     """
-    return mlp_backward_cached(params, mlp_forward_cached(params, batch)[1], upstream_grad)
+    _, buffers = mlp_forward_cached(params, batch)
+    return mlp_backward_cached(params, buffers, upstream_grad)
 
 
 def add_grads(a: MLPGrads, b: MLPGrads, *, out: MLPGrads | None = None) -> MLPGrads:

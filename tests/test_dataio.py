@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cmigan import dataio
 from cmigan.dataio import (
     ColumnMapping,
     DataError,
@@ -23,7 +24,6 @@ from cmigan.dataio import (
     write_manifest,
     write_sidecar,
 )
-from cmigan import dataio
 from cmigan.datagen import gen_linear1, true_cmi
 from cmigan.estimators import SampleSet
 
