@@ -101,15 +101,21 @@ def _estimator_config(args, record_trace: bool = False) -> EstimatorConfig:
     return dataclasses.replace(base, **overrides)
 
 
-# the input that reads each input-specific flag, by argparse dest: a CSV
-# (--data), a CSV split by column names rather than by --dims, any model
-# (--model), or a model that takes that argument. Every other flag is read
-# by --data and --model input, and --config reads only _REPLAY_READS.
+# what reads each input- or estimator-specific flag, by argparse dest: a
+# CSV (--data), a CSV split by column names rather than by --dims, any
+# model (--model), a model that takes that argument, ksg, or the network
+# estimators (--cit-defaults and each flag whose dest is an EstimatorConfig
+# field; --no-standardize is not one). Every other flag is read by --data
+# and --model input and by every estimator, and --config reads only
+# _REPLAY_READS.
 _READ_BY = {
-    **dict.fromkeys(("dims", "semicolon", "shuffle_seed"), "--data"),
+    **dict.fromkeys(("dims", "semicolon"), "--data"),
     **dict.fromkeys(("x_cols", "y_cols", "z_cols"), "columns"),
     **dict.fromkeys(("n", "data_seed"), "--model"),
     **{arg: "model" for _, takes, _ in _MODELS.values() for arg in takes},
+    **dict.fromkeys([f.name for f in dataclasses.fields(EstimatorConfig)] + ["cit_defaults"],
+                    "the network estimators"),
+    "k": "ksg",
 }
 _REPLAY_READS = ("command", "func", "quiet", "config", "out", "trace", "jobs")
 # the flags whose dest is the EstimatorConfig field they set
@@ -119,8 +125,9 @@ _FLAG_NAMES = {"training_steps": "steps", "initial_lr": "lr", "reg_training_rati
 
 def _check_flags(args, given: str):
     """Reject, naming it, the first flag given that the input ``given``
-    ("--config", "--data" or "--model") does not read; a flag that is not
-    given is None."""
+    ("--config", "--data" or "--model") or the ``--estimator`` given does
+    not read; a flag that is not given is None."""
+    estimator = getattr(args, "estimator", None)  # datagen has no estimator
     for name, value in vars(args).items():
         if value is None or name in _REPLAY_READS:
             continue
@@ -128,6 +135,10 @@ def _check_flags(args, given: str):
         reader = _READ_BY.get(name)
         if given == "--config":
             raise ValueError(f"{flag} does not apply to --config, which replays its run configuration")
+        if reader in ("ksg", "the network estimators"):
+            if estimator is not None and (reader == "ksg") != (estimator == "ksg"):
+                raise ValueError(f"{flag} applies to {reader}, not {estimator}")
+            continue
         if reader is None:
             continue
         kind = "--model" if reader in ("--model", "model") else "--data"
@@ -144,10 +155,9 @@ def _ksg_config(args) -> KSGConfig:
     return KSGConfig() if args.k is None else KSGConfig(k=args.k)
 
 
-def _csv_spec(path: str, dims=None, mapping=None, semicolon=False, shuffle_seed=None) -> dict:
+def _csv_spec(path: str, dims=None, mapping=None, semicolon=False) -> dict:
     """The dataset spec of a CSV file split by ``dims`` or by a column ``mapping``."""
-    return dict(kind="csv", path=os.path.abspath(path), dims=dims, mapping=mapping,
-                semicolon=semicolon, shuffle_seed=shuffle_seed)
+    return dict(kind="csv", path=os.path.abspath(path), dims=dims, mapping=mapping, semicolon=semicolon)
 
 
 def _dataset_spec_from_args(args) -> dict:
@@ -161,7 +171,7 @@ def _dataset_spec_from_args(args) -> dict:
             mapping = {key: _cols(getattr(args, key)) for key in ("x_cols", "y_cols", "z_cols")}
         else:
             raise ValueError("CSV input needs --dims, or --x-cols and --y-cols (and --z-cols)")
-        return _csv_spec(args.data, dims, mapping, bool(args.semicolon), args.shuffle_seed)
+        return _csv_spec(args.data, dims, mapping, bool(args.semicolon))
     return dict(kind="model", model=args.model, n=args.n, dz=args.dz, d=args.d, rho=args.rho,
                 dependent=bool(args.dependent), seed=0 if args.data_seed is None else args.data_seed)
 
@@ -171,20 +181,13 @@ def _load_dataset(spec: dict):
         return generate(spec["model"], spec["n"], spec["seed"], dz=spec.get("dz"), d=spec.get("d"),
                         rho=spec.get("rho"), dependent=spec.get("dependent"))[0]
     if spec["kind"] == "csv":
-        if spec.get("normalize", "none") != "none":
-            # an older report may ask for the removed load-time z-scoring
-            raise ValueError(f"dataset normalize={spec['normalize']!r} is no longer supported")
+        for key, off in (("normalize", "none"), ("shuffle_seed", None)):
+            if spec.get(key, off) != off:
+                # an older report may ask for the removed load-time z-scoring or row shuffle
+                raise ValueError(f"dataset {key}={spec[key]!r} is no longer supported")
         by_dims = spec.get("dims") is not None
-        if by_dims:
-            mapping = ColumnMapping.from_dims(spec["dims"], spec.get("shuffle_seed"))
-        else:
-            m = spec["mapping"]
-            mapping = ColumnMapping(
-                x_cols=m["x_cols"],
-                y_cols=m["y_cols"],
-                z_cols=m.get("z_cols", []),
-                shuffle_seed=spec.get("shuffle_seed"),
-            )
+        # a column mapping spec holds the ColumnMapping fields
+        mapping = ColumnMapping.from_dims(spec["dims"]) if by_dims else ColumnMapping(**spec["mapping"])
         loaded = load_csv(spec["path"], mapping, semicolon=spec["semicolon"], whole_header=by_dims)
         log.info(
             "loaded %s: %d rows kept, %d dropped", spec["path"], loaded.kept_rows, loaded.dropped_rows
@@ -371,38 +374,41 @@ def cmd_gradcheck(args) -> int:
     return EXIT_NUMERICAL
 
 
-def _write_suite(args) -> str:
-    """Write the labeled CIT suite that ``args`` describes and return its
-    manifest path. The whole suite is drawn before ``--outdir`` is made,
-    so an argument a generator rejects leaves nothing behind."""
-    if min(args.n_ci, args.n_cd) < 0 or args.n_ci + args.n_cd == 0:
-        raise ValueError("--n-ci and --n-cd must be non-negative and not both 0")
-    suite = [
-        gen_cit(args.n, args.dz, i >= args.n_ci, args.suite_seed + i)
-        for i in range(args.n_ci + args.n_cd)
-    ]
-    os.makedirs(args.outdir, exist_ok=True)
+def _write_suite(outdir: str, suite: list) -> str:
+    """Write ``suite`` with its sidecars and manifest under ``outdir`` and
+    return the manifest path."""
+    os.makedirs(outdir, exist_ok=True)
     entries = []
     for i, (samples, params, label) in enumerate(suite):
         name = f"cit_{label.lower()}_{i:03d}.csv"
-        path = os.path.join(args.outdir, name)
+        path = os.path.join(outdir, name)
         save_csv(samples, path)
         write_sidecar(path, params, true_cmi(params))
         entries.append(ManifestEntry(name, label, samples.dims))
-    manifest = os.path.join(args.outdir, "manifest.json")
+    manifest = os.path.join(outdir, "manifest.json")
     write_manifest(manifest, entries)
     log.info("wrote %d datasets and %s", len(entries), manifest)
     return manifest
 
 
 def cmd_bench(args) -> int:
-    # every estimator flag is checked before the suite is written
+    # the estimator flags, the suite and, when it is scored, the rows the
+    # estimator needs against --n are checked before --outdir is made
     cfg, ksg_cfg = _estimator_config(args), _ksg_config(args)
-    manifest = _write_suite(args)
+    if min(args.n_ci, args.n_cd) < 0 or args.n_ci + args.n_cd == 0:
+        raise ValueError("--n-ci and --n-cd must be non-negative and not both 0")
+    suite = [
+        gen_cit(args.n, args.dz, i >= args.n_ci, args.suite_seed + i)
+        for i in range(args.n_ci + args.n_cd)
+    ]
     if args.generate_only:
-        _write_json(None, {"manifest": manifest, "datasets": args.n_ci + args.n_cd})
+        _write_json(None, {"manifest": _write_suite(args.outdir, suite), "datasets": len(suite)})
         return EXIT_OK
-    return _score_manifest(args, "bench", manifest, cfg, ksg_cfg)
+    if args.estimator == "ksg" and args.n <= ksg_cfg.k + 1:
+        raise ValueError(f"need more than k+1={ksg_cfg.k + 1} samples, got {args.n}")
+    if args.estimator != "ksg" and cfg.batch_size > args.n:
+        raise ValueError(f"batch_size {cfg.batch_size} exceeds sample count {args.n}")
+    return _score_manifest(args, "bench", _write_suite(args.outdir, suite), cfg, ksg_cfg)
 
 
 def _add_estimator_flags(p: argparse.ArgumentParser):
@@ -476,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z-cols", default=None)
     p.add_argument("--semicolon", action="store_true", default=None,
                    help="CSV uses ';' separators and ',' decimals")
-    p.add_argument("--shuffle-seed", type=int, default=None, help="shuffle CSV rows with this seed")
     _add_model_flags(p, required=False)
     p.add_argument("--data-seed", type=int, default=None, help="seed for inline generation (default: 0)")
     p.add_argument("--config", default=None, metavar="JSON",

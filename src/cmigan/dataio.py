@@ -37,29 +37,22 @@ class ColumnMapping:
     """Which CSV columns form the x/y/z blocks.
 
     Columns may be header names or 0-based integer indices.
-    ``shuffle_seed`` permutes rows reproducibly, None means keep order.
     The estimators z-score their input, so loading does not.
     """
 
     x_cols: list
     y_cols: list
     z_cols: list = field(default_factory=list)
-    shuffle_seed: int | None = None
 
     def __post_init__(self):
         if not self.x_cols or not self.y_cols:
             raise DataError("x_cols and y_cols must be non-empty")
-        if self.shuffle_seed is not None and self.shuffle_seed < 0:
-            raise ValueError(f"shuffle_seed must be non-negative, got {self.shuffle_seed}")
 
     @classmethod
-    def from_dims(cls, dims, shuffle_seed: int | None = None) -> "ColumnMapping":
+    def from_dims(cls, dims) -> "ColumnMapping":
         """The mapping of a file whose columns are [x | y | z], ``dims`` wide."""
         dx, dy, dz = dims
-        return cls(
-            list(range(dx)), list(range(dx, dx + dy)), list(range(dx + dy, dx + dy + dz)),
-            shuffle_seed=shuffle_seed,
-        )
+        return cls(list(range(dx)), list(range(dx, dx + dy)), list(range(dx + dy, dx + dy + dz)))
 
 
 @dataclass
@@ -144,7 +137,8 @@ def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False, whole_h
     ``whole_header=True`` requires the mapping, a ``--dims`` split, to
     name as many columns as the header has.
     Rows with any missing mapped cell (empty, non-numeric, the -200
-    sentinel, or non-finite) are dropped and counted.
+    sentinel, or non-finite) are dropped and counted; the rest keep the
+    file's order.
     A well-formed comma file is parsed in one numpy call; any other file
     falls back to parsing cell by cell, with the same result.
     A malformed quote or an over-long cell is a DataError naming its line.
@@ -188,9 +182,6 @@ def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False, whole_h
 
     if not len(data):
         raise DataError(f"{path}: no usable rows after dropping missing data")
-    if mapping.shuffle_seed is not None:
-        perm = np.random.default_rng(mapping.shuffle_seed).permutation(len(data))
-        data = data[perm]
     return LoadedCsv(
         samples=SampleSet(data, dims),
         dropped_rows=source_rows - len(data),

@@ -162,6 +162,9 @@ class EstimatorConfig:
     record_trace: bool = False
 
     def __post_init__(self):
+        for name, widths in (("reg_hidden", self.reg_hidden), ("gen_hidden", self.gen_hidden)):
+            if not all(float(d).is_integer() and d >= 1 for d in widths):
+                raise ValueError(f"{name} widths must be positive integers, got {widths}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.training_steps < 1:

@@ -223,7 +223,7 @@ class TestEstimate:
         first = str(tmp_path / "first.json")
         code = main([
             "-q", "estimate", "--estimator", estimator, *data, "--n", "256", "--data-seed", "1",
-            "--runs", "2", "--seed", "7", *TINY_NET, "--out", first,
+            *([] if estimator == "ksg" else ["--runs", "2", "--seed", "7", *TINY_NET]), "--out", first,
         ])
         assert code == EXIT_OK
         replay = str(tmp_path / "replay.json")
@@ -264,6 +264,30 @@ class TestEstimate:
         assert [v.hex() for v in doc["report"]["per_run"]] == ["-0x1.4fd3f3ef1bc8ap-1"]
         assert "rmsprop_rho" not in doc["run_config"]["estimator_config"]
         assert "rmsprop_eps" not in doc["run_config"]["estimator_config"]
+
+    @pytest.mark.parametrize("estimator, flags", [
+        ("ksg", []), ("cmigan", ["--runs", "2", "--seed", "7", *TINY_NET]),
+    ], ids=["ksg", "cmigan"])
+    def test_replay_of_unshuffled_csv_report_is_bitwise(self, tmp_path, capsys, estimator, flags):
+        # reports of CSV runs once held "shuffle_seed": null; they replay as written
+        data = str(tmp_path / "d.csv")
+        save_csv(gen_cit(256, 1, True, seed=0)[0], data)
+        first = str(tmp_path / "first.json")
+        assert main(["-q", "estimate", "--estimator", estimator, "--data", data, "--dims", "1,1,1",
+                     *flags, "--out", first]) == EXIT_OK
+        doc = _read_json(first)
+        doc["run_config"]["dataset"]["shuffle_seed"] = None
+        old = str(tmp_path / "old.json")
+        with open(old, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        replay = str(tmp_path / "replay.json")
+        assert main(["-q", "estimate", "--config", old, "--out", replay]) == EXIT_OK
+        capsys.readouterr()
+        got = _read_json(replay)
+        for d in (doc, got):
+            del d["wall_time_s"]
+        # json writes each float's shortest round-trip repr, so equal text is equal bits
+        assert json.dumps(got) == json.dumps(doc)
 
     @pytest.mark.parametrize("doc", [
         {"run_config": {"estimator_config": {}}},
@@ -361,7 +385,7 @@ class TestEstimate:
         # the CSV does not exist: loading it first would exit 3
         missing = str(tmp_path / "absent.csv")
         code = main([
-            "-q", "estimate", "--estimator", "ksg", "--data", missing, "--dims", "1,1,0",
+            "-q", "estimate", "--estimator", "cmigan", "--data", missing, "--dims", "1,1,0",
             flag, value,
         ])
         captured = capsys.readouterr()
@@ -594,6 +618,7 @@ class TestParser:
 
 _DATAGEN = ["datagen", "--out", "{tmp}/d.csv", "--model"]
 _KSG_ON_MODEL = ["estimate", "--estimator", "ksg", "--model", "linear1", "--n", "50"]
+_CMIGAN_ON_MODEL = ["estimate", "--estimator", "cmigan", "--model", "linear1", "--n", "50"]
 _KSG_ON_CSV = ["estimate", "--estimator", "ksg", "--data", "{tmp}/ci.csv", "--dims", "1,1,1"]
 _CITEST = ["citest", "--manifest", "{tmp}/manifest.json", "--estimator", "ksg"]
 _BENCH = ["bench", "--outdir", "{tmp}/suite", "--n", "100"]
@@ -627,6 +652,13 @@ _FILES = {
         "estimator_config": {},
     }),
     "replay-non-object.json": json.dumps({"run_config": [1]}),
+    # an older report of a shuffled CSV; the file is never read
+    "replay-shuffled.json": json.dumps({
+        "command": "estimate", "estimator": "ksg", "estimator_config": {}, "dataset": {
+            "kind": "csv", "path": "never-written.csv", "dims": [1, 1, 1], "mapping": None,
+            "semicolon": False, "shuffle_seed": 3,
+        },
+    }),
 }
 
 # each row: an id, the argv after "-q", where "{tmp}" stands for the test's
@@ -637,18 +669,18 @@ _EXIT_CODES = [
      None, EXIT_USAGE, _NEGATIVE_SEED),
     ("datagen-n-0", [*_DATAGEN, "gauss", "--rho", "0.5", "--n", "0"],
      None, EXIT_USAGE, "n must be positive"),
-    ("ksg-negative-seed", [*_KSG_ON_MODEL, "--seed", "-1"], None, EXIT_USAGE, _NEGATIVE_SEED),
+    ("midiffgan-negative-seed", ["estimate", "--estimator", "midiffgan", "--model", "linear1",
+                                 "--n", "50", "--seed", "-1"], None, EXIT_USAGE, _NEGATIVE_SEED),
     ("ksg-negative-env-seed", _KSG_ON_MODEL, "-1", EXIT_USAGE, _NEGATIVE_SEED),
     ("ksg-negative-data-seed", [*_KSG_ON_MODEL, "--data-seed", "-1"],
      None, EXIT_USAGE, _NEGATIVE_SEED),
     ("cmigan-negative-seed", ["estimate", "--estimator", "cmigan", "--model", "linear1",
                               "--n", "100", *TINY_NET, "--jobs", "1", "--seed", "-1"],
      None, EXIT_USAGE, _NEGATIVE_SEED),
-    ("negative-shuffle-seed", ["estimate", "--estimator", "ksg", "--data", "{tmp}/ci.csv",
-                               "--dims", "1,1,1", "--shuffle-seed", "-1"],
-     None, EXIT_USAGE, "shuffle_seed must be non-negative, got -1"),
+    ("shuffle-seed-is-gone", [*_KSG_ON_CSV, "--shuffle-seed", "3"],
+     None, EXIT_USAGE, "unrecognized arguments: --shuffle-seed 3"),
     ("ksg-k-0", [*_KSG_ON_MODEL, "--k", "0"], None, EXIT_USAGE, "k must be a positive integer"),
-    ("runs-0", [*_KSG_ON_MODEL, "--runs", "0"], None, EXIT_USAGE, "runs must be positive"),
+    ("runs-0", [*_CMIGAN_ON_MODEL, "--runs", "0"], None, EXIT_USAGE, "runs must be positive"),
     ("jobs-0", [*_KSG_ON_MODEL, "--jobs", "0"], None, EXIT_USAGE, "--jobs"),
     ("gradcheck-negative-seed", ["gradcheck", "--nets", "1", "--seed", "-1"],
      None, EXIT_USAGE, _NEGATIVE_SEED),
@@ -721,6 +753,17 @@ _EXIT_CODES = [
      None, EXIT_USAGE, "runs must be positive"),
     ("bench-k-0", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--k", "0"],
      None, EXIT_USAGE, "k must be a positive integer"),
+    ("bench-reg-hidden-0", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--estimator", "cmigan",
+                            "--reg-hidden", "0"],
+     None, EXIT_USAGE, "reg_hidden widths must be positive integers, got (0,)"),
+    # and the rows each estimator needs against --n
+    ("bench-batch-over-n", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--estimator", "cmigan",
+                            "--batch-size", "4096"],
+     None, EXIT_USAGE, "batch_size 4096 exceeds sample count 100"),
+    ("bench-ksg-n-5", ["bench", "--outdir", "{tmp}/suite", "--n", "5", "--n-ci", "1", "--n-cd", "1"],
+     None, EXIT_USAGE, "need more than k+1=6 samples, got 5"),
+    ("bench-ksg-n-at-k-plus-1", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--k", "99"],
+     None, EXIT_USAGE, "need more than k+1=100 samples, got 100"),
     # a flag that only the other kind of input reads; --data-seed 0 is its default value
     *[(f"data-input{flag}", [*_KSG_ON_CSV, flag, *values], None, EXIT_USAGE,
        f"{flag} applies to --model input, not --data")
@@ -729,7 +772,7 @@ _EXIT_CODES = [
     *[(f"model-input{flag}", [*_KSG_ON_MODEL, flag, *values], None, EXIT_USAGE,
        f"{flag} applies to --data input, not --model")
       for flag, *values in (["--dims", "1,1,1"], ["--x-cols", "x0"], ["--y-cols", "y0"],
-                            ["--z-cols", "z0"], ["--semicolon"], ["--shuffle-seed", "0"])],
+                            ["--z-cols", "z0"], ["--semicolon"])],
     # --dims splits the columns itself, so a column selection beside it is unread
     *[(f"dims-with{flag}", [*_KSG_ON_CSV, flag, "nope"], None, EXIT_USAGE,
        f"{flag} does not apply with --dims")
@@ -739,6 +782,20 @@ _EXIT_CODES = [
        f"{flag} does not apply to --config")
       for flag, *values in (["--dims", "1,1,1"], ["--n", "50"], ["--lr", "nan"],
                             ["--seed", "3"], ["--runs", "3"], ["--k", "3"])],
+    # ksg trains no network, and the network estimators find no neighbours
+    *[(f"ksg-with{flag}", [*_KSG_ON_MODEL, flag, *values], None, EXIT_USAGE,
+       f"{flag} applies to the network estimators, not ksg")
+      for flag, *values in (["--runs", "2"], ["--seed", "3"], ["--steps", "5"], ["--batch-size", "16"],
+                            ["--lr", "0.5"], ["--reg-hidden", "4"], ["--gen-hidden", "4"],
+                            ["--ratio", "1"], ["--noise-dim", "1"], ["--eval-passes", "1"],
+                            ["--lr-interval", "1"], ["--lr-decay", "2"],
+                            ["--lr-mode", "per_interval"], ["--cit-defaults"])],
+    ("cmigan-with--k", [*_CMIGAN_ON_MODEL, "--k", "3"], None, EXIT_USAGE,
+     "--k applies to ksg, not cmigan"),
+    ("ksg-jobs-no-standardize-k-out-trace",
+     [*_KSG_ON_MODEL, "--jobs", "1", "--no-standardize", "--k", "3", "--out", "{tmp}/r.json",
+      "--trace", "{tmp}/t.csv"],
+     None, EXIT_OK, ""),
     ("config-with-out-trace-jobs",
      [*_REPLAY, "--out", "{tmp}/r.json", "--trace", "{tmp}/t.csv", "--jobs", "1"],
      None, EXIT_OK, ""),
@@ -748,6 +805,8 @@ _EXIT_CODES = [
      None, EXIT_USAGE, "unknown dataset kind 'bogus'"),
     ("replay-non-object", ["estimate", "--config", "{tmp}/replay-non-object.json"],
      None, EXIT_USAGE, "replay-non-object.json: run_config must be a JSON object"),
+    ("replay-shuffled-csv", ["estimate", "--config", "{tmp}/replay-shuffled.json"],
+     None, EXIT_USAGE, "dataset shuffle_seed=3 is no longer supported"),
 ]
 
 
@@ -790,7 +849,6 @@ _SWEEP_CSV_FLAGS = {
     "--y-cols": ["y0", "1", ""],
     "--z-cols": ["z0", "x0"],
     "--semicolon": [],
-    "--shuffle-seed": ["-1", "0", "3"],
 }
 _SWEEP_MODEL_FLAGS = {
     "--n": ["-1", "0", "1", "30", "300"],

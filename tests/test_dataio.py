@@ -30,10 +30,8 @@ from cmigan.estimators import SampleSet
 from oracle_tools import read_sidecar
 
 
-def _mapping(dz=1, **kw):
-    return ColumnMapping(
-        x_cols=["x0"], y_cols=["y0"], z_cols=[f"z{i}" for i in range(dz)], **kw
-    )
+def _mapping(dz=1):
+    return ColumnMapping(x_cols=["x0"], y_cols=["y0"], z_cols=[f"z{i}" for i in range(dz)])
 
 
 def test_round_trip_is_bitwise(tmp_path):
@@ -162,19 +160,6 @@ def test_semicolon_dialect_with_decimal_commas(tmp_path):
     assert loaded.kept_rows == 2
     assert loaded.dropped_rows == 1
     assert loaded.samples.data.tolist() == [[1.5, 2.25, 0.125], [3.0, 4.0, 5.0]]
-
-
-def test_shuffle_seed_reproducible(tmp_path):
-    s, _ = gen_linear1(100, 1, seed=2)
-    path = str(tmp_path / "p.csv")
-    save_csv(s, path)
-    a = load_csv(path, _mapping(shuffle_seed=7))
-    b = load_csv(path, _mapping(shuffle_seed=7))
-    plain = load_csv(path, _mapping())
-    assert np.array_equal(a.samples.data, b.samples.data)
-    assert not np.array_equal(a.samples.data, plain.samples.data)
-    perm = np.random.default_rng(7).permutation(100)
-    assert np.array_equal(a.samples.data, plain.samples.data[perm])
 
 
 def test_whole_header_needs_dims_to_cover_every_column(tmp_path):

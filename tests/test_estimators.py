@@ -131,6 +131,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             EstimatorConfig(reg_training_ratio=0)
 
+    @pytest.mark.parametrize("widths", [(-3, 2.5), (4, 2.5), (0,), (float("inf"),), (float("nan"),)],
+                             ids=["negative", "fractional", "zero", "inf", "nan"])
+    @pytest.mark.parametrize("name", ["reg_hidden", "gen_hidden"])
+    def test_hidden_widths_must_be_positive_integers(self, name, widths):
+        with pytest.raises(ValueError, match=f"{name} widths must be positive integers"):
+            EstimatorConfig(**{name: widths})
+        # an empty tuple is a single linear map
+        assert getattr(EstimatorConfig(**{name: ()}), name) == ()
+
 
 class TestMechanics:
     def test_deterministic_given_seed(self):
