@@ -8,8 +8,8 @@ labeled CIT suite and score it end to end).
 Exit codes: 0 success, 2 usage error (running out of memory included),
 3 data error, 4 numerical failure.
 Progress goes to stderr; results go to stdout and report files, with the
-fully resolved run configuration embedded in every JSON report so a run
-can be replayed bit-for-bit from its own output.
+run configuration the estimator read embedded in every JSON report so a
+run can be replayed bit-for-bit from its own output.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .dataio import (
     write_manifest,
     write_sidecar,
 )
-from .estimators import ESTIMATOR_IDS, EstimatorConfig, estimate
+from .estimators import ESTIMATOR_IDS, EstimatorConfig, check_rows, estimate
 from .knn import KSGConfig
 from .neuralnet import RMSPROP_EPS, RMSPROP_RHO, SCHEDULE_MODES, NumericalError, gradient_check
 
@@ -48,18 +48,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-SEED_ENV = "CMIGAN_SEED"
-
-
-def _seed(args) -> int:
-    """``--seed``, else ``$CMIGAN_SEED``, else 0."""
-    if args.seed is not None:
-        return args.seed
-    try:
-        return int(os.environ.get(SEED_ENV, "0"))
-    except ValueError:
-        raise ValueError(f"{SEED_ENV} must be an integer") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -97,7 +85,7 @@ def _estimator_config(args, record_trace: bool = False) -> EstimatorConfig:
     for key in ("reg_hidden", "gen_hidden"):
         if key in overrides:
             overrides[key] = tuple(_int_list(overrides[key]))
-    overrides.update(seed=_seed(args), standardize=not args.no_standardize, record_trace=record_trace)
+    overrides.update(standardize=not args.no_standardize, record_trace=record_trace)
     return dataclasses.replace(base, **overrides)
 
 
@@ -205,6 +193,18 @@ def _write_json(path: str | None, doc: dict):
     print(text)
 
 
+def _run_config(command: str, estimator: str, cfg: EstimatorConfig, ksg_cfg: KSGConfig, **inputs) -> dict:
+    """The run configuration a report embeds: ``inputs`` (the ``dataset``
+    spec, or the ``manifest`` and ``threshold``), then what ``estimator``
+    reads of ``cfg`` and ``ksg_cfg``: ``ksg`` only ``standardize`` and k,
+    a network id the whole :class:`EstimatorConfig`."""
+    if estimator == "ksg":
+        read = {"estimator_config": {"standardize": cfg.standardize}, "ksg": {"k": ksg_cfg.k}}
+    else:
+        read = {"estimator_config": cfg.to_dict()}
+    return {"command": command, "estimator": estimator, **inputs, **read}
+
+
 def _write_report(path: str | None, run_config: dict, report_dict: dict, wall: float):
     doc = {"run_config": run_config, "report": report_dict, "wall_time_s": wall, "version": __version__}
     _write_json(path, doc)
@@ -234,7 +234,7 @@ def _write_trace(path: str, report_dict: dict, seed: int):
 def cmd_datagen(args) -> int:
     _check_flags(args, "--model")
     samples, params, label = generate(
-        args.model, args.n, _seed(args), dz=args.dz, d=args.d, rho=args.rho, dependent=args.dependent
+        args.model, args.n, args.seed, dz=args.dz, d=args.d, rho=args.rho, dependent=args.dependent
     )
     save_csv(samples, args.out)
     truth = true_cmi(params)
@@ -285,29 +285,23 @@ def cmd_estimate(args) -> int:
         raise ValueError("give exactly one input: --config JSON, --data CSV or --model NAME")
     _check_flags(args, inputs[0])
     if args.config is not None:
-        run_config = _replay_config(args.config)
-        # a replay writes the trace its own --trace asks for
-        run_config["estimator_config"]["record_trace"] = args.trace is not None
+        replayed = _replay_config(args.config)
+        estimator, spec = replayed["estimator"], replayed["dataset"]
+        try:
+            # a replay writes the trace its own --trace asks for
+            traced = {**replayed["estimator_config"], "record_trace": args.trace is not None}
+            cfg = EstimatorConfig.from_dict(traced)
+            ksg_cfg = KSGConfig(**replayed.get("ksg", {}))
+        except TypeError as exc:
+            # a replayed config value of the wrong JSON type, e.g. "k": "5"
+            raise ValueError(f"ill-typed config value: {exc}") from None
     elif args.estimator is None:
         raise ValueError("--estimator is required unless --config is given")
     else:
-        run_config = {
-            "command": "estimate",
-            "estimator": args.estimator,
-            "dataset": _dataset_spec_from_args(args),
-            "estimator_config": _estimator_config(args, args.trace is not None).to_dict(),
-            "ksg": {"k": _ksg_config(args).k},
-            "threshold": None,
-        }
-    estimator = run_config["estimator"]
+        estimator, spec = args.estimator, _dataset_spec_from_args(args)
+        cfg, ksg_cfg = _estimator_config(args, args.trace is not None), _ksg_config(args)
     try:
-        cfg = EstimatorConfig.from_dict(run_config["estimator_config"])
-        ksg_cfg = KSGConfig(k=run_config.get("ksg", {}).get("k", 5))
-    except TypeError as exc:
-        # a replayed config value of the wrong JSON type, e.g. "k": "5"
-        raise ValueError(f"ill-typed config value: {exc}") from None
-    try:
-        samples = _load_dataset(run_config["dataset"])
+        samples = _load_dataset(spec)
     except KeyError as exc:
         # only a hand-edited replay config can lack a dataset field
         raise ValueError(f"dataset spec lacks {exc}") from None
@@ -325,6 +319,7 @@ def cmd_estimate(args) -> int:
     # traces are bulky and already in the CSV; keep the JSON lean
     for _, run in _labelled_runs(report_dict, cfg.seed):
         run.pop("trace", None)
+    run_config = _run_config("estimate", estimator, cfg, ksg_cfg, dataset=spec)
     _write_report(args.out, run_config, report_dict, wall)
     if report.all_failed:
         log.error("all %d runs failed", cfg.runs)
@@ -340,14 +335,8 @@ def _score_manifest(args, command: str, manifest: str, cfg: EstimatorConfig, ksg
     datasets = [
         (_load_dataset(_csv_spec(os.path.join(base, e.csv), list(e.dims))), e.label) for e in entries
     ]
-    run_config = {
-        "command": command,
-        "estimator": args.estimator,
-        "manifest": os.path.abspath(manifest),
-        "estimator_config": cfg.to_dict(),
-        "ksg": {"k": ksg_cfg.k},
-        "threshold": args.threshold,
-    }
+    run_config = _run_config(command, args.estimator, cfg, ksg_cfg,
+                             manifest=os.path.abspath(manifest), threshold=args.threshold)
     start = time.monotonic()
     report = run_cit_benchmark(
         datasets, args.estimator, cfg, threshold=args.threshold, ksg_config=ksg_cfg,
@@ -404,10 +393,7 @@ def cmd_bench(args) -> int:
     if args.generate_only:
         _write_json(None, {"manifest": _write_suite(args.outdir, suite), "datasets": len(suite)})
         return EXIT_OK
-    if args.estimator == "ksg" and args.n <= ksg_cfg.k + 1:
-        raise ValueError(f"need more than k+1={ksg_cfg.k + 1} samples, got {args.n}")
-    if args.estimator != "ksg" and cfg.batch_size > args.n:
-        raise ValueError(f"batch_size {cfg.batch_size} exceeds sample count {args.n}")
+    check_rows(args.estimator, args.n, cfg, ksg_cfg)
     return _score_manifest(args, "bench", _write_suite(args.outdir, suite), cfg, ksg_cfg)
 
 
@@ -416,7 +402,7 @@ def _add_estimator_flags(p: argparse.ArgumentParser):
     # estimate can reject one its input does not read
     p.add_argument("--runs", type=int, default=None, help="independent training runs (default: 1)")
     p.add_argument("--seed", type=int, default=None,
-                   help=f"base seed (default: ${SEED_ENV} or 0); run r uses seed+r")
+                   help="base seed (default: 0); run r uses seed+r")
     p.add_argument("--steps", dest="training_steps", metavar="STEPS", type=int, default=None,
                    help="training steps per run")
     p.add_argument("--batch-size", type=int, default=None)
@@ -469,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("datagen", help="generate a synthetic dataset with a JSON sidecar")
     _add_model_flags(p, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", "-o", required=True, metavar="CSV")
     p.set_defaults(func=cmd_datagen)
 

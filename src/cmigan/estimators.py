@@ -22,8 +22,8 @@ without a generator), then one generator update that reuses the last
 critic batch's unswapped blocks (x and z for cmigan) with fresh noise.
 ``midiff-fmine`` composes two fmine estimates as
 ``I(X;(Y,Z)) - I(X;Z)``, whose runs share one task list, and ``ksg`` is
-the kNN baseline; :func:`estimate` checks the dz rule of an id,
-standardizes the data and dispatches by the id.
+the kNN baseline; :func:`estimate` checks the dz rule of an id and
+the rows it needs, standardizes the data and dispatches by the id.
 """
 
 from __future__ import annotations
@@ -242,11 +242,18 @@ class EstimateReport:
         return dataclasses.asdict(self)
 
 
-def _validate_for_training(s: SampleSet, cfg: EstimatorConfig):
-    if cfg.batch_size > s.n:
-        raise ValueError(f"batch_size {cfg.batch_size} exceeds sample count {s.n}")
-    if s.n < 2 * cfg.batch_size:
-        log.warning("n=%d is below the recommended 2*batch_size=%d", s.n, 2 * cfg.batch_size)
+def check_rows(estimator: str, n: int, cfg: EstimatorConfig, ksg_config: KSGConfig | None = None):
+    """Raise ``ValueError`` unless ``n`` rows are enough for ``estimator``:
+    more than k+1 for ``ksg``, one batch for a network id (which warns
+    below two)."""
+    if estimator == "ksg":
+        k = (ksg_config or KSGConfig()).k
+        if n <= k + 1:
+            raise ValueError(f"need more than k+1={k + 1} samples, got {n}")
+    elif cfg.batch_size > n:
+        raise ValueError(f"batch_size {cfg.batch_size} exceeds sample count {n}")
+    elif n < 2 * cfg.batch_size:
+        log.warning("n=%d is below the recommended 2*batch_size=%d", n, 2 * cfg.batch_size)
 
 
 def _finite(value, what: str, step: int):
@@ -556,7 +563,6 @@ def _run_many(estimator: str, s: SampleSet, cfg: EstimatorConfig, jobs: int | No
     seed ``seed + r``, so the terms of a run share their initialization
     and batching noise, and a run failing in any term drops the run.
     """
-    _validate_for_training(s, cfg)
     dx, dy, dz = s.dims
     # term name -> (kind, data, dims, sign); a lone term's name is None
     if estimator == "midiff-fmine":
@@ -671,6 +677,7 @@ def estimate(
         rule = "dz >= 1" if needs_z else "dz == 0"
         raise ValueError(f"{estimator} needs data with {rule}, got dz={samples.dz}")
     cfg = config or EstimatorConfig()
+    check_rows(estimator, samples.n, cfg, ksg_config)
     s = samples.standardized() if cfg.standardize else samples
     if estimator == "ksg":
         return _ksg_estimate(s, ksg_config)

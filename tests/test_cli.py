@@ -265,6 +265,29 @@ class TestEstimate:
         assert "rmsprop_rho" not in doc["run_config"]["estimator_config"]
         assert "rmsprop_eps" not in doc["run_config"]["estimator_config"]
 
+    @pytest.mark.parametrize("estimator", ["cmigan", "ksg"])
+    def test_replay_of_older_report_equals_fresh_run(self, tmp_path, capsys, estimator):
+        # older reports held ksg's k and a null threshold for every estimator,
+        # and a whole network config (seed included) for ksg too
+        argv = ["-q", "estimate", "--estimator", estimator, "--model", "linear1", "--n", "256",
+                "--dz", "1", "--data-seed", "0"]
+        if estimator == "cmigan":
+            argv += ["--runs", "1", "--seed", "5", *TINY_NET]
+            old = _OLD_RUN_CONFIG
+        else:
+            old = {"command": "estimate", "estimator": "ksg", "dataset": _OLD_RUN_CONFIG["dataset"],
+                   "estimator_config": {**_OLD_RUN_CONFIG["estimator_config"], "seed": 9},
+                   "ksg": {"k": 5}, "threshold": None}
+        fresh, old_path, replay = (str(tmp_path / f"{name}.json") for name in ("fresh", "old", "replay"))
+        with open(old_path, "w", encoding="utf-8") as fh:
+            json.dump({"run_config": old}, fh)
+        assert main([*argv, "--out", fresh]) == EXIT_OK
+        assert main(["-q", "estimate", "--config", old_path, "--out", replay]) == EXIT_OK
+        capsys.readouterr()
+        a, b = _read_json(fresh), _read_json(replay)
+        assert hex_floats(a["report"]) == hex_floats(b["report"])
+        assert a["run_config"] == b["run_config"]
+
     @pytest.mark.parametrize("estimator, flags", [
         ("ksg", []), ("cmigan", ["--runs", "2", "--seed", "7", *TINY_NET]),
     ], ids=["ksg", "cmigan"])
@@ -437,17 +460,24 @@ class TestEstimate:
         capsys.readouterr()
         assert code == EXIT_NUMERICAL
 
-    def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CMIGAN_SEED", "9")
-        out = str(tmp_path / "env.csv")
-        assert main(["-q", "datagen", "--model", "linear1", "--n", "20",
-                     "--out", out]) == EXIT_OK
+    @pytest.mark.parametrize("env_seed", ["9", "-1", "abc"])
+    def test_env_seed_is_ignored(self, tmp_path, capsys, monkeypatch, env_seed):
+        # a CMIGAN_SEED left in the shell changes no output
+        cmigan = ["-q", "estimate", "--estimator", "cmigan", "--model", "linear1", "--n", "256",
+                  "--dz", "1", *TINY_NET, "--jobs", "1"]
+        outputs = []
+        for name in ("unset", "set"):
+            if name == "set":
+                monkeypatch.setenv("CMIGAN_SEED", env_seed)
+            else:
+                monkeypatch.delenv("CMIGAN_SEED", raising=False)
+            data, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            assert main(["-q", "datagen", "--model", "linear1", "--n", "20", "--out", str(data)]) == EXIT_OK
+            assert main(["-q", "estimate", "--estimator", "ksg", "--model", "linear1", "--n", "300"]) == EXIT_OK
+            assert main([*cmigan, "--out", str(report)]) == EXIT_OK
+            outputs.append((data.read_bytes(), [v.hex() for v in _read_json(report)["report"]["per_run"]]))
         capsys.readouterr()
-        assert _read_json(out + ".json")["seed"] == 9
-        monkeypatch.setenv("CMIGAN_SEED", "not-a-number")
-        assert main(["-q", "datagen", "--model", "linear1", "--n", "20",
-                     "--out", out]) == EXIT_USAGE
-        capsys.readouterr()
+        assert outputs[0] == outputs[1]
 
 
 class TestGradcheck:
@@ -579,6 +609,34 @@ class TestBenchAndCitest:
         # at the default threshold of 0.01 these would be CD
         assert any(0.01 < e["score"] <= 0.3 for e in entries)
 
+    @pytest.mark.parametrize("command", ["estimate", "citest"])
+    @pytest.mark.parametrize("estimator", ["ksg", "cmigan"])
+    def test_run_config_holds_what_the_estimator_reads(self, tmp_path, capsys, command, estimator):
+        if command == "estimate":
+            argv = ["estimate", "--model", "linear1", "--n", "300", "--dz", "1"]
+            inputs = {"dataset"}
+        else:
+            outdir = str(tmp_path / "suite")
+            assert main(["-q", "bench", "--outdir", outdir, "--n-ci", "1", "--n-cd", "1",
+                         "--n", "300", "--generate-only"]) == EXIT_OK
+            argv = ["citest", "--manifest", os.path.join(outdir, "manifest.json")]
+            inputs = {"manifest", "threshold"}
+        flags = ["--k", "3"] if estimator == "ksg" else ["--seed", "4", *TINY_NET]
+        report_path = str(tmp_path / "r.json")
+        assert main(["-q", *argv, "--estimator", estimator, *flags, "--out", report_path]) == EXIT_OK
+        capsys.readouterr()
+        run_config = _read_json(report_path)["run_config"]
+        if estimator == "ksg":
+            assert set(run_config) == {"command", "estimator", "estimator_config", "ksg", *inputs}
+            assert run_config["estimator_config"] == {"standardize": True}
+            assert run_config["ksg"] == {"k": 3}
+        else:
+            assert set(run_config) == {"command", "estimator", "estimator_config", *inputs}
+            assert run_config["estimator_config"] == cli.EstimatorConfig(
+                reg_hidden=(8, 4), gen_hidden=(8, 4), batch_size=64, training_steps=10,
+                eval_passes=2, initial_lr=1e-3, seed=4,
+            ).to_dict()
+
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         code = main([
             "-q", "citest", "--manifest", str(tmp_path / "none.json"),
@@ -662,8 +720,9 @@ _FILES = {
 }
 
 # each row: an id, the argv after "-q", where "{tmp}" stands for the test's
-# directory, CMIGAN_SEED (None leaves it unset), the exit code and text
-# the log must hold; {tmp} holds ci.csv, cd.csv, manifest.json and _FILES
+# directory, CMIGAN_SEED, which nothing reads (None leaves it unset), the
+# exit code and text the log must hold; {tmp} holds ci.csv, cd.csv,
+# manifest.json and _FILES
 _EXIT_CODES = [
     ("datagen-negative-seed", [*_DATAGEN, "linear1", "--n", "10", "--seed", "-1"],
      None, EXIT_USAGE, _NEGATIVE_SEED),
@@ -671,7 +730,7 @@ _EXIT_CODES = [
      None, EXIT_USAGE, "n must be positive"),
     ("midiffgan-negative-seed", ["estimate", "--estimator", "midiffgan", "--model", "linear1",
                                  "--n", "50", "--seed", "-1"], None, EXIT_USAGE, _NEGATIVE_SEED),
-    ("ksg-negative-env-seed", _KSG_ON_MODEL, "-1", EXIT_USAGE, _NEGATIVE_SEED),
+    ("ksg-ignores-env-seed", _KSG_ON_MODEL, "-1", EXIT_OK, ""),
     ("ksg-negative-data-seed", [*_KSG_ON_MODEL, "--data-seed", "-1"],
      None, EXIT_USAGE, _NEGATIVE_SEED),
     ("cmigan-negative-seed", ["estimate", "--estimator", "cmigan", "--model", "linear1",
