@@ -646,7 +646,110 @@ class TestBenchAndCitest:
         assert code == EXIT_DATA
 
 
+# the parser pin: per subcommand, each action as (option strings, dest,
+# default, choices, repr of its type's result on "3", action class)
+_HELP = (("--help", "-h"), "help", "==SUPPRESS==", None, None, "_HelpAction")
+_OUT = (("--out", "-o"), "out", None, None, None, "_StoreAction")
+_ESTIMATOR_IDS = ("cmigan", "migan", "midiffgan", "fmine", "midiff-fmine", "ksg")
+_MODEL_FLAG_ROWS = {
+    (("--model",), "model", None, ("linear1", "linear2", "linear3", "nonlinear", "cit", "gauss"),
+     None, "_StoreAction"),
+    (("--n",), "n", None, None, "3", "_StoreAction"),
+    (("--dz",), "dz", None, None, "3", "_StoreAction"),
+    (("--d",), "d", None, None, "3", "_StoreAction"),
+    (("--rho",), "rho", None, None, "3.0", "_StoreAction"),
+    (("--dependent",), "dependent", None, None, None, "_StoreTrueAction"),
+    (("--independent",), "dependent", None, None, None, "_StoreFalseAction"),
+}
+_ESTIMATOR_FLAG_ROWS = {
+    (("--runs",), "runs", None, None, "3", "_StoreAction"),
+    (("--seed",), "seed", None, None, "3", "_StoreAction"),
+    (("--steps",), "training_steps", None, None, "3", "_StoreAction"),
+    (("--batch-size",), "batch_size", None, None, "3", "_StoreAction"),
+    (("--lr",), "initial_lr", None, None, "3.0", "_StoreAction"),
+    (("--reg-hidden",), "reg_hidden", None, None, None, "_StoreAction"),
+    (("--gen-hidden",), "gen_hidden", None, None, None, "_StoreAction"),
+    (("--ratio",), "reg_training_ratio", None, None, "3", "_StoreAction"),
+    (("--noise-dim",), "noise_dim", None, None, "3", "_StoreAction"),
+    (("--eval-passes",), "eval_passes", None, None, "3", "_StoreAction"),
+    (("--lr-interval",), "lr_interval_steps", None, None, "3", "_StoreAction"),
+    (("--lr-decay",), "lr_decay_factor", None, None, "3.0", "_StoreAction"),
+    (("--lr-mode",), "lr_mode", None, ("total_decay", "per_interval"), None, "_StoreAction"),
+    (("--cit-defaults",), "cit_defaults", None, None, None, "_StoreTrueAction"),
+    (("--no-standardize",), "no_standardize", None, None, None, "_StoreTrueAction"),
+    (("--k",), "k", None, None, "3", "_StoreAction"),
+    (("--jobs",), "jobs", None, None, "3", "_StoreAction"),
+    _OUT,
+}
+_PARSER_PIN = {
+    "cmigan": {
+        _HELP,
+        (("--version",), "version", "==SUPPRESS==", None, None, "_VersionAction"),
+        (("--quiet", "-q"), "quiet", False, None, None, "_StoreTrueAction"),
+    },
+    "datagen": {
+        _HELP, *_MODEL_FLAG_ROWS, _OUT,
+        (("--seed",), "seed", 0, None, "3", "_StoreAction"),
+    },
+    "estimate": {
+        _HELP, *_MODEL_FLAG_ROWS, *_ESTIMATOR_FLAG_ROWS,
+        (("--estimator",), "estimator", None, _ESTIMATOR_IDS, None, "_StoreAction"),
+        (("--data",), "data", None, None, None, "_StoreAction"),
+        (("--dims",), "dims", None, None, None, "_StoreAction"),
+        (("--x-cols",), "x_cols", None, None, None, "_StoreAction"),
+        (("--y-cols",), "y_cols", None, None, None, "_StoreAction"),
+        (("--z-cols",), "z_cols", None, None, None, "_StoreAction"),
+        (("--semicolon",), "semicolon", None, None, None, "_StoreTrueAction"),
+        (("--data-seed",), "data_seed", None, None, "3", "_StoreAction"),
+        (("--config",), "config", None, None, None, "_StoreAction"),
+        (("--trace",), "trace", None, None, None, "_StoreAction"),
+    },
+    "citest": {
+        _HELP, *_ESTIMATOR_FLAG_ROWS,
+        (("--manifest",), "manifest", None, None, None, "_StoreAction"),
+        (("--estimator",), "estimator", None, _ESTIMATOR_IDS, None, "_StoreAction"),
+        (("--threshold",), "threshold", 0.01, None, "3.0", "_StoreAction"),
+    },
+    "gradcheck": {
+        _HELP, _OUT,
+        (("--nets",), "nets", 100, None, "3", "_StoreAction"),
+        (("--seed",), "seed", 0, None, "3", "_StoreAction"),
+        (("--h",), "h", 0.0001, None, "3.0", "_StoreAction"),
+        (("--tol",), "tol", 0.0001, None, "3.0", "_StoreAction"),
+    },
+    "bench": {
+        _HELP, *_ESTIMATOR_FLAG_ROWS,
+        (("--outdir",), "outdir", None, None, None, "_StoreAction"),
+        (("--n-ci",), "n_ci", 10, None, "3", "_StoreAction"),
+        (("--n-cd",), "n_cd", 10, None, "3", "_StoreAction"),
+        (("--dz",), "dz", 1, None, "3", "_StoreAction"),
+        (("--n",), "n", 5000, None, "3", "_StoreAction"),
+        (("--suite-seed",), "suite_seed", 0, None, "3", "_StoreAction"),
+        (("--estimator",), "estimator", "ksg", _ESTIMATOR_IDS, None, "_StoreAction"),
+        (("--threshold",), "threshold", 0.01, None, "3.0", "_StoreAction"),
+        (("--generate-only",), "generate_only", False, None, None, "_StoreTrueAction"),
+    },
+}
+
+
+def _parser_rows(parser) -> set:
+    """The pin rows of ``parser``'s own actions, its subcommands left out."""
+    return {
+        (tuple(sorted(a.option_strings)), a.dest, a.default,
+         None if a.choices is None else tuple(a.choices),
+         None if a.type is None else repr(a.type("3")), type(a).__name__)
+        for a in parser._actions if a.option_strings
+    }
+
+
 class TestParser:
+    def test_parser_pinned(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if not a.option_strings)
+        got = {"cmigan": _parser_rows(parser)}
+        got.update((name, _parser_rows(p)) for name, p in sub.choices.items())
+        assert got == _PARSER_PIN
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
