@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmigan import estimators
 from cmigan.citest import run_cit_benchmark
@@ -91,6 +93,21 @@ class TestSampleSet:
         s = SampleSet(data, (1, 1, 0)).standardized()
         assert np.all(np.isfinite(s.data))
         assert np.allclose(s.x, 0.0)
+
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), col=st.integers(0, 3))
+    def test_standardized_is_invariant_to_power_of_two_column_scales(self, seed, col):
+        rng = np.random.default_rng(seed)
+        # |values| in [2**-8, 2), so every scale below keeps them normal and finite
+        data = rng.choice([-1.0, 1.0], (64, 4)) * np.exp2(rng.uniform(-8.0, 1.0, (64, 4)))
+        want = SampleSet(data, (1, 1, 2)).standardized().data
+        for k in range(-1013, 1023):
+            scaled = data.copy()
+            scaled[:, col] = np.ldexp(scaled[:, col], k)
+            got = SampleSet(scaled, (1, 1, 2)).standardized().data
+            assert np.isfinite(got).all(), k
+            assert got.tobytes() == want.tobytes(), k
 
 
 class TestConfig:
