@@ -126,11 +126,19 @@ class SampleSet:
         return self.data[:, self.dx + self.dy :]
 
     def standardized(self) -> "SampleSet":
-        """Per-column z-scoring; constant columns are left untouched."""
-        mu = self.data.mean(axis=0)
-        sd = self.data.std(axis=0)
-        sd = np.where(sd > 0.0, sd, 1.0)
-        return SampleSet((self.data - mu) / sd, self.dims)
+        """Per-column z-scoring; constant columns are only centred.
+
+        Each column is first scaled by the power of two that brings its
+        largest |value| into [0.5, 1), which is exact, so the squares of
+        the std cannot overflow or underflow and the result is the same
+        at every power-of-two scale of a column."""
+        data = self.data
+        _, exp = np.frexp(np.maximum(data.max(axis=0), -data.min(axis=0)))
+        scaled = np.ldexp(data, -exp)
+        sd = scaled.std(axis=0)
+        scaled -= scaled.mean(axis=0)
+        scaled /= np.where(sd > 0.0, sd, 1.0)
+        return SampleSet(scaled, self.dims)
 
 
 @dataclass(frozen=True)
