@@ -38,9 +38,9 @@ from .dataio import (
     write_manifest,
     write_sidecar,
 )
-from .estimators import ESTIMATOR_IDS, EstimatorConfig, check_rows, estimate
+from .estimators import ESTIMATOR_IDS, EstimatorConfig, check_rows, estimate, typed_value
 from .knn import KSGConfig
-from .neuralnet import RMSPROP_EPS, RMSPROP_RHO, SCHEDULE_MODES, NumericalError, gradient_check
+from .neuralnet import RMSPROP_EPS, RMSPROP_RHO, NumericalError, gradient_check
 
 log = logging.getLogger("cmigan")
 
@@ -76,17 +76,15 @@ def _cols(text: str | None) -> list:
     return [part.strip() for part in text.split(",") if part.strip() != ""]
 
 
-def _estimator_config(args, record_trace: bool = False) -> EstimatorConfig:
-    """The base config with every given flag applied; each estimator flag's
-    ``dest`` names the :class:`EstimatorConfig` field it sets."""
+def _configs(args, record_trace: bool = False) -> tuple[EstimatorConfig, KSGConfig]:
+    """The :class:`EstimatorConfig` and :class:`KSGConfig` of the flags: the
+    base config with each given flag applied to the field its ``dest`` names."""
     base = EstimatorConfig.cit_defaults() if args.cit_defaults else EstimatorConfig()
-    fields = {f.name for f in dataclasses.fields(EstimatorConfig)}
-    overrides = {key: v for key, v in vars(args).items() if key in fields and v is not None}
-    for key in ("reg_hidden", "gen_hidden"):
-        if key in overrides:
-            overrides[key] = tuple(_int_list(overrides[key]))
-    overrides.update(standardize=not args.no_standardize, record_trace=record_trace)
-    return dataclasses.replace(base, **overrides)
+    overrides = dict(standardize=not args.no_standardize, record_trace=record_trace)
+    for f in dataclasses.fields(EstimatorConfig):
+        if (value := getattr(args, f.name, None)) is not None:
+            overrides[f.name] = tuple(_int_list(value)) if f.type.startswith("tuple") else value
+    return dataclasses.replace(base, **overrides), KSGConfig() if args.k is None else KSGConfig(k=args.k)
 
 
 # what reads each input- or estimator-specific flag, by argparse dest: a
@@ -106,9 +104,6 @@ _READ_BY = {
     "k": "ksg",
 }
 _REPLAY_READS = ("command", "func", "quiet", "config", "out", "trace", "jobs")
-# the flags whose dest is the EstimatorConfig field they set
-_FLAG_NAMES = {"training_steps": "steps", "initial_lr": "lr", "reg_training_ratio": "ratio",
-               "lr_interval_steps": "lr-interval", "lr_decay_factor": "lr-decay"}
 
 
 def _check_flags(args, given: str):
@@ -116,10 +111,11 @@ def _check_flags(args, given: str):
     ("--config", "--data" or "--model") or the ``--estimator`` given does
     not read; a flag that is not given is None."""
     estimator = getattr(args, "estimator", None)  # datagen has no estimator
+    field_flags = {f.name: f.metadata.get("flag") for f in dataclasses.fields(EstimatorConfig)}
     for name, value in vars(args).items():
         if value is None or name in _REPLAY_READS:
             continue
-        flag = "--independent" if value is False else "--" + _FLAG_NAMES.get(name, name.replace("_", "-"))
+        flag = "--independent" if value is False else field_flags.get(name) or "--" + name.replace("_", "-")
         reader = _READ_BY.get(name)
         if given == "--config":
             raise ValueError(f"{flag} does not apply to --config, which replays its run configuration")
@@ -137,10 +133,6 @@ def _check_flags(args, given: str):
         if reader == "model" and name not in (takes := _MODELS[args.model][1]):
             flags = ", ".join(f"--{arg}" for arg in takes if arg != "dependent")
             raise ValueError(f"{flag} does not apply to the {args.model} model, which takes {flags}")
-
-
-def _ksg_config(args) -> KSGConfig:
-    return KSGConfig() if args.k is None else KSGConfig(k=args.k)
 
 
 def _csv_spec(path: str, dims=None, mapping=None, semicolon=False) -> dict:
@@ -169,10 +161,6 @@ def _load_dataset(spec: dict):
         return generate(spec["model"], spec["n"], spec["seed"], dz=spec.get("dz"), d=spec.get("d"),
                         rho=spec.get("rho"), dependent=spec.get("dependent"))[0]
     if spec["kind"] == "csv":
-        for key, off in (("normalize", "none"), ("shuffle_seed", None)):
-            if spec.get(key, off) != off:
-                # an older report may ask for the removed load-time z-scoring or row shuffle
-                raise ValueError(f"dataset {key}={spec[key]!r} is no longer supported")
         by_dims = spec.get("dims") is not None
         # a column mapping spec holds the ColumnMapping fields
         mapping = ColumnMapping.from_dims(spec["dims"]) if by_dims else ColumnMapping(**spec["mapping"])
@@ -252,8 +240,23 @@ def cmd_datagen(args) -> int:
     return EXIT_OK
 
 
+# keys of older reports, by run_config section, with the one value each
+# may still hold: RMSProp's rho and eps became constants, and a CSV's
+# load-time z-scoring and row shuffle were removed
+_RETIRED = {
+    ("estimator_config", "rmsprop_rho"): RMSPROP_RHO,
+    ("estimator_config", "rmsprop_eps"): RMSPROP_EPS,
+    ("dataset", "normalize"): "none",
+    ("dataset", "shuffle_seed"): None,
+}
+# the type of each typed field of a replayed dataset spec, as an annotation
+_SPEC_TYPES = {"n": "int", "seed": "int", "dz": "int | None", "d": "int | None",
+               "semicolon": "bool", "dependent": "bool | None"}
+
+
 def _replay_config(path: str) -> dict:
-    """The ``run_config`` of a report (or a bare run_config), shape-checked."""
+    """The ``run_config`` of a report (or a bare run_config), with its
+    shape, retired keys and dataset spec types checked."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -267,16 +270,26 @@ def _replay_config(path: str) -> dict:
     for key in ("estimator_config", "dataset", "ksg"):
         if not isinstance(run_config.get(key, {}), dict):
             raise ValueError(f"{path}: run_config.{key} must be a JSON object")
-    config = run_config["estimator_config"]
-    # reports from before RMSProp's rho and eps became constants carry them
-    for key, value in (("rmsprop_rho", RMSPROP_RHO), ("rmsprop_eps", RMSPROP_EPS)):
-        if (given := config.pop(key, value)) != value:
-            raise ValueError(f"{path}: {key}={given!r} is no longer supported; it is {value}")
-    known = {f.name for f in dataclasses.fields(EstimatorConfig)}
-    unknown = sorted(set(config) - known)
-    if unknown:
-        raise ValueError(f"{path}: unknown estimator_config keys {', '.join(unknown)}")
+    for (section, key), value in _RETIRED.items():
+        if (given := run_config[section].get(key, value)) != value:
+            raise ValueError(f"{path}: {section} {key}={json.dumps(given)} is no longer supported; "
+                             f"only {json.dumps(value)} replays")
+    spec = run_config["dataset"]
+    for key, annotation in _SPEC_TYPES.items():
+        if key in spec:
+            typed_value(f"{path}: dataset {key}", annotation, spec[key], low=0)
+    for width in spec["dims"] if isinstance(spec.get("dims"), list) else []:
+        typed_value(f"{path}: dataset dims", "int", width, low=0)
     return run_config
+
+
+def _replayed(cls, run_config: dict, section: str, **overrides):
+    """``cls`` from the replayed ``run_config[section]``, less its retired
+    keys, and ``overrides``; a key that is no field of ``cls`` is a usage error."""
+    values = {key: v for key, v in run_config.get(section, {}).items() if (section, key) not in _RETIRED}
+    if unknown := sorted(set(values) - {f.name for f in dataclasses.fields(cls)}):
+        raise ValueError(f"unknown {section} keys {', '.join(unknown)}")
+    return cls(**{**values, **overrides})
 
 
 def cmd_estimate(args) -> int:
@@ -287,19 +300,14 @@ def cmd_estimate(args) -> int:
     if args.config is not None:
         replayed = _replay_config(args.config)
         estimator, spec = replayed["estimator"], replayed["dataset"]
-        try:
-            # a replay writes the trace its own --trace asks for
-            traced = {**replayed["estimator_config"], "record_trace": args.trace is not None}
-            cfg = EstimatorConfig.from_dict(traced)
-            ksg_cfg = KSGConfig(**replayed.get("ksg", {}))
-        except TypeError as exc:
-            # a replayed config value of the wrong JSON type, e.g. "k": "5"
-            raise ValueError(f"ill-typed config value: {exc}") from None
+        # a replay writes the trace its own --trace asks for
+        cfg = _replayed(EstimatorConfig, replayed, "estimator_config", record_trace=args.trace is not None)
+        ksg_cfg = _replayed(KSGConfig, replayed, "ksg")
     elif args.estimator is None:
         raise ValueError("--estimator is required unless --config is given")
     else:
         estimator, spec = args.estimator, _dataset_spec_from_args(args)
-        cfg, ksg_cfg = _estimator_config(args, args.trace is not None), _ksg_config(args)
+        cfg, ksg_cfg = _configs(args, args.trace is not None)
     try:
         samples = _load_dataset(spec)
     except KeyError as exc:
@@ -349,7 +357,7 @@ def _score_manifest(args, command: str, manifest: str, cfg: EstimatorConfig, ksg
 
 
 def cmd_citest(args) -> int:
-    return _score_manifest(args, "citest", args.manifest, _estimator_config(args), _ksg_config(args))
+    return _score_manifest(args, "citest", args.manifest, *_configs(args))
 
 
 def cmd_gradcheck(args) -> int:
@@ -383,7 +391,7 @@ def _write_suite(outdir: str, suite: list) -> str:
 def cmd_bench(args) -> int:
     # the estimator flags, the suite and, when it is scored, the rows the
     # estimator needs against --n are checked before --outdir is made
-    cfg, ksg_cfg = _estimator_config(args), _ksg_config(args)
+    cfg, ksg_cfg = _configs(args)
     if min(args.n_ci, args.n_cd) < 0 or args.n_ci + args.n_cd == 0:
         raise ValueError("--n-ci and --n-cd must be non-negative and not both 0")
     suite = [
@@ -399,26 +407,12 @@ def cmd_bench(args) -> int:
 
 def _add_estimator_flags(p: argparse.ArgumentParser):
     # the flags that default to a value are None unless given, so that
-    # estimate can reject one its input does not read
-    p.add_argument("--runs", type=int, default=None, help="independent training runs (default: 1)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="base seed (default: 0); run r uses seed+r")
-    p.add_argument("--steps", dest="training_steps", metavar="STEPS", type=int, default=None,
-                   help="training steps per run")
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", dest="initial_lr", metavar="LR", type=float, default=None,
-                   help="initial learning rate")
-    p.add_argument("--reg-hidden", default=None, help="regression net hidden widths, e.g. 128,32")
-    p.add_argument("--gen-hidden", default=None, help="generator hidden widths, e.g. 256,64")
-    p.add_argument("--ratio", dest="reg_training_ratio", metavar="RATIO", type=int, default=None,
-                   help="regressor updates per generator update")
-    p.add_argument("--noise-dim", type=int, default=None)
-    p.add_argument("--eval-passes", type=int, default=None)
-    p.add_argument("--lr-interval", dest="lr_interval_steps", metavar="LR_INTERVAL", type=int,
-                   default=None, help="steps per decay interval")
-    p.add_argument("--lr-decay", dest="lr_decay_factor", metavar="LR_DECAY", type=float,
-                   default=None, help="total decay factor")
-    p.add_argument("--lr-mode", choices=SCHEDULE_MODES, default=None)
+    # estimate can reject one its input does not read; widths stay text
+    for f in dataclasses.fields(EstimatorConfig):
+        if "flag" in f.metadata:
+            p.add_argument(f.metadata["flag"], dest=f.name, default=None, help=f.metadata["help"],
+                           type={"int": int, "float": float}.get(f.type.removesuffix(" | None")),
+                           choices=f.metadata.get("choices"))
     p.add_argument("--cit-defaults", action="store_true", default=None,
                    help="start from the conditional-independence-testing hyperparameters")
     p.add_argument("--no-standardize", action="store_true", default=None,

@@ -45,6 +45,10 @@ class ColumnMapping:
     z_cols: list = field(default_factory=list)
 
     def __post_init__(self):
+        for name in ("x_cols", "y_cols", "z_cols"):
+            if not isinstance(block := getattr(self, name), (list, tuple)):
+                # a string would be read as one column per character
+                raise TypeError(f"{name} must be a list of column names or indices, got {block!r}")
         if not self.x_cols or not self.y_cols:
             raise DataError("x_cols and y_cols must be non-empty")
 

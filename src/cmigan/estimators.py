@@ -46,11 +46,12 @@ from .bounds import (
     log_mean_exp,
     softmax_weights,
 )
-from .knn import KSGConfig, ksg_cmi_result, ksg_mi_result
+from .knn import KSGConfig, is_integer, ksg_cmi_result, ksg_mi_result
 # perfbench's tracer wraps the passes, add_grads and rmsprop_step by
 # their names in this module, so they stay imported here even where the
 # training loop calls the in-place rmsprop_update instead
 from .neuralnet import (
+    SCHEDULE_MODES,
     MLPBuffers,
     MLPGrads,
     MLPSpec,
@@ -126,12 +127,9 @@ class SampleSet:
         return self.data[:, self.dx + self.dy :]
 
     def standardized(self) -> "SampleSet":
-        """Per-column z-scoring; constant columns are only centred.
-
-        Each column is first scaled by the power of two that brings its
-        largest |value| into [0.5, 1), which is exact, so the squares of
-        the std cannot overflow or underflow and the result is the same
-        at every power-of-two scale of a column."""
+        """Per-column z-scoring; constant columns are only centred. Each
+        column is first scaled exactly by the power of two that brings its
+        largest |value| into [0.5, 1), so no square in the std overflows."""
         data = self.data
         _, exp = np.frexp(np.maximum(data.max(axis=0), -data.min(axis=0)))
         scaled = np.ldexp(data, -exp)
@@ -139,6 +137,38 @@ class SampleSet:
         scaled -= scaled.mean(axis=0)
         scaled /= np.where(sd > 0.0, sd, 1.0)
         return SampleSet(scaled, self.dims)
+
+
+# what a config field of each annotation takes (a bool is neither an int
+# nor a float), the type it stores and the words for what it takes
+_FIELD_TYPES = {
+    "int": (is_integer, int, "an integer"),
+    "float": (lambda v: is_integer(v) or isinstance(v, (float, np.floating)), float, "a real number"),
+    "bool": (lambda v: isinstance(v, bool), bool, "true or false"),
+    "str": (lambda v: isinstance(v, str), str, "a string"),
+}
+
+
+def typed_value(name: str, annotation: str, value, low: int = 1):
+    """``value`` as the type ``annotation`` names (None where it ends in
+    ``| None``), an int at least ``low``; else a ValueError naming ``name``."""
+    kind = annotation.removesuffix(" | None")
+    if value is None and kind != annotation:
+        return None
+    takes, store, what = _FIELD_TYPES[kind]
+    if not takes(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if kind == "int" and value < low:
+        raise ValueError(f"{name} must be {'positive' if low else 'non-negative'}, got {value}")
+    try:
+        return store(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} is out of range, got {value}") from None
+
+
+def _flag(default, flag: str, help: str | None = None, **extra):
+    """A config field set by the CLI flag ``flag``; ``extra`` holds its ``choices`` or ``min``."""
+    return field(default=default, metadata={"flag": flag, "help": help, **extra})
 
 
 @dataclass(frozen=True)
@@ -151,42 +181,40 @@ class EstimatorConfig:
     ``cit_defaults`` switches to the conditional-independence-testing
     setup (deeper nets, lr 1e-3, 10000 steps). ``noise_dim = None``
     means "match the generator output width".
+
+    Each field is stated once, here. ``__post_init__`` checks its value
+    against the type its annotation names (see :func:`typed_value`) and
+    an int against its lower bound, 1 or the ``min`` in its metadata;
+    :meth:`schedule` checks the learning-rate values. The ``flag`` in a
+    field's metadata is the CLI flag that sets it.
     """
 
-    reg_hidden: tuple[int, ...] = (128, 32)
-    gen_hidden: tuple[int, ...] = (256, 64)
-    batch_size: int = 4096
-    training_steps: int = 30000
-    reg_training_ratio: int = 2
-    noise_dim: int | None = None
-    runs: int = 1
-    seed: int = 0
-    eval_passes: int = 10
-    initial_lr: float = 5e-5
-    lr_interval_steps: int = 1000
-    lr_decay_factor: float = 10.0
-    lr_mode: str = "total_decay"
+    reg_hidden: tuple[int, ...] = _flag((128, 32), "--reg-hidden", "regression net hidden widths, e.g. 128,32")
+    gen_hidden: tuple[int, ...] = _flag((256, 64), "--gen-hidden", "generator hidden widths, e.g. 256,64")
+    batch_size: int = _flag(4096, "--batch-size")
+    training_steps: int = _flag(30000, "--steps", "training steps per run")
+    reg_training_ratio: int = _flag(2, "--ratio", "regressor updates per generator update")
+    noise_dim: int | None = _flag(None, "--noise-dim")
+    runs: int = _flag(1, "--runs", "independent training runs (default: 1)")
+    seed: int = _flag(0, "--seed", "base seed (default: 0); run r uses seed+r", min=0)
+    eval_passes: int = _flag(10, "--eval-passes")
+    initial_lr: float = _flag(5e-5, "--lr", "initial learning rate")
+    lr_interval_steps: int = _flag(1000, "--lr-interval", "steps per decay interval")
+    lr_decay_factor: float = _flag(10.0, "--lr-decay", "total decay factor")
+    lr_mode: str = _flag("total_decay", "--lr-mode", choices=SCHEDULE_MODES)
     standardize: bool = True
     record_trace: bool = False
 
     def __post_init__(self):
-        for name, widths in (("reg_hidden", self.reg_hidden), ("gen_hidden", self.gen_hidden)):
-            if not all(float(d).is_integer() and d >= 1 for d in widths):
-                raise ValueError(f"{name} widths must be positive integers, got {widths}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.training_steps < 1:
-            raise ValueError("training_steps must be positive")
-        if self.reg_training_ratio < 1:
-            raise ValueError("reg_training_ratio must be positive")
-        if self.runs < 1:
-            raise ValueError("runs must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.eval_passes < 1:
-            raise ValueError("eval_passes must be positive")
-        if self.noise_dim is not None and self.noise_dim < 1:
-            raise ValueError("noise_dim must be positive when given")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "tuple[int, ...]":
+                if not (isinstance(value, (list, tuple)) and all(is_integer(w) and w >= 1 for w in value)):
+                    raise ValueError(f"{f.name} widths must be positive integers, got {value!r}")
+                value = tuple(int(w) for w in value)
+            else:
+                value = typed_value(f.name, f.type, value, f.metadata.get("min", 1))
+            object.__setattr__(self, f.name, value)
         self.schedule()  # checks the learning-rate fields
 
     @classmethod
@@ -217,10 +245,6 @@ class EstimatorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorConfig":
-        d = dict(d)
-        for key in ("reg_hidden", "gen_hidden"):
-            if key in d:
-                d[key] = tuple(d[key])
         return cls(**d)
 
 
@@ -530,8 +554,7 @@ def _one_blas_thread():
 
 def _check_jobs(jobs):
     """A ``ValueError`` unless ``jobs`` is None or an int of at least 1."""
-    if jobs is not None and (type(jobs) is not int or jobs < 1):
-        raise ValueError(f"jobs must be None or an int of at least 1, got {jobs!r}")
+    typed_value("jobs", "int | None", jobs)
 
 
 def _parallel_map(fn, tasks: list, jobs: int | None) -> list:

@@ -65,6 +65,11 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class KSGConfig:
     """Knobs for the KSG estimators: the neighbour order ``k``."""
@@ -72,8 +77,9 @@ class KSGConfig:
     k: int = 5
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        if not (is_integer(self.k) and self.k >= 1):
+            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        object.__setattr__(self, "k", int(self.k))
 
 
 @dataclass

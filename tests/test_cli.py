@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ from cmigan import cli
 from cmigan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from cmigan.datagen import gen_cit
 from cmigan.dataio import ManifestEntry, save_csv, write_manifest
+from cmigan.estimators import EstimatorConfig
 
 from oracle_tools import hex_floats
 
@@ -48,6 +50,48 @@ _OLD_RUN_CONFIG = {
     "ksg": {"k": 5},
     "threshold": None,
 }
+
+
+# a CSV dataset spec by column names; no test writes its file
+_CSV_MAPPING_SPEC = {
+    "kind": "csv", "path": "never-written.csv", "dims": None, "semicolon": False,
+    "mapping": {"x_cols": ["x0"], "y_cols": ["y0"], "z_cols": ["z0"]},
+}
+_TINY_NET_CONFIG = {"batch_size": 32, "training_steps": 1, "eval_passes": 1, "reg_hidden": [4],
+                    "gen_hidden": [4]}
+
+
+def _replay_doc(estimator="ksg", config=None, dataset=_TINY_MODEL, ksg=None) -> dict:
+    doc = {"estimator": estimator, "estimator_config": config or {}, "dataset": dataset}
+    return doc if ksg is None else {**doc, "ksg": ksg}
+
+
+# bare run_configs that hold one value of the wrong type, as (id, doc, the
+# key the error names); each of the first group exits 0, 1 or 3 at a
+# version that does not check the type
+_ILL_TYPED_REPLAYS = [
+    *[(f"{key}-{value}", _replay_doc("cmigan", {**_TINY_NET_CONFIG, key: value}), key)
+      for key, value in (("batch_size", 64.5), ("training_steps", 2.5), ("seed", 1.5),
+                         ("eval_passes", 1.5), ("reg_training_ratio", 1.5), ("initial_lr", True),
+                         ("runs", True), ("standardize", "no"))],
+    ("ksg-k-5.5", _replay_doc(ksg={"k": 5.5}), "k"),
+    ("ksg-k-true", _replay_doc(ksg={"k": True}), "k"),
+    ("dataset-string-x-cols", _replay_doc(dataset={
+        **_CSV_MAPPING_SPEC, "mapping": {"x_cols": "ab", "y_cols": ["c"], "z_cols": []}}), "x_cols"),
+    ("dataset-semicolon-no", _replay_doc(dataset={**_CSV_MAPPING_SPEC, "semicolon": "no"}), "semicolon"),
+    ("dataset-dependent-yes", _replay_doc(dataset={
+        "kind": "model", "model": "cit", "n": 100, "seed": 0, "dz": 1, "dependent": "yes"}), "dependent"),
+    ("dataset-seed-true", _replay_doc(dataset={**_TINY_MODEL, "seed": True}), "seed"),
+    ("dataset-dims-true", _replay_doc(dataset={**_CSV_MAPPING_SPEC, "dims": [True, 1, 1], "mapping": None}),
+     "dims"),
+]
+# and values that exit 2 there too, with a message that does not name the key
+_ILL_TYPED_REPLAYS_NAMED = [
+    ("dataset-n-true", _replay_doc(dataset={**_TINY_MODEL, "n": True}), "n"),
+    ("dataset-dz-true", _replay_doc(dataset={**_TINY_MODEL, "dz": True}), "dz"),
+    ("dataset-d-float", _replay_doc(dataset={"kind": "model", "model": "linear3", "n": 100, "seed": 0,
+                                             "d": 1.0}), "d"),
+]
 
 
 def _read_json(path):
@@ -339,10 +383,12 @@ class TestEstimate:
         }},
         {"estimator": "magic", "estimator_config": {}, "dataset": _TINY_MODEL},
         {"estimator": ["ksg"], "estimator_config": {}, "dataset": _TINY_MODEL},
+        *[doc for _, doc, _ in _ILL_TYPED_REPLAYS],
     ], ids=[
         "missing-keys", "unknown-config-key", "non-object", "incomplete-dataset",
         "ill-typed-config-value", "ill-typed-k", "non-object-ksg", "zscore-normalize",
         "ill-typed-dims", "changed-rmsprop-rho", "unknown-estimator", "non-string-estimator",
+        *[name for name, _, _ in _ILL_TYPED_REPLAYS],
     ])
     def test_malformed_replay_config_is_usage_error(self, tmp_path, capsys, doc):
         path = str(tmp_path / "bad.json")
@@ -352,6 +398,18 @@ class TestEstimate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("doc, key", [row[1:] for row in _ILL_TYPED_REPLAYS + _ILL_TYPED_REPLAYS_NAMED],
+                             ids=[row[0] for row in _ILL_TYPED_REPLAYS + _ILL_TYPED_REPLAYS_NAMED])
+    def test_ill_typed_replay_value_is_usage_error_naming_its_key(self, tmp_path, capsys, caplog, doc, key):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["-q", "estimate", "--config", path, "--jobs", "1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert f"{key} must be" in caplog.text
 
     def test_column_mapping_input(self, tmp_path, capsys):
         data = str(tmp_path / "d.csv")
@@ -1095,3 +1153,46 @@ def test_estimate_flag_sweep_ends_in_an_exit_code(tmp_path, capsys, data):
     assert "Traceback" not in captured.err
     if code != EXIT_OK:
         assert captured.out == "", argv
+
+
+# JSON values of every type, each kind of number near the config bounds
+_SWEEP_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from([0.5, 1.5, 2.0, -1.0, 1e-3, 1e308]),
+    st.floats(), st.sampled_from(["", "5", "no", "total_decay", "x0"]), st.lists(st.integers(-1, 3), max_size=4),
+    st.dictionaries(st.sampled_from(["x_cols", "y_cols", "z_cols", "k"]), st.lists(st.text(max_size=2))),
+)
+# each replayed section, a valid value of it, and the keys a sweep may set
+# in it, an unknown key among them
+_SWEEP_SECTIONS = {
+    "estimator_config": (_TINY_NET_CONFIG, [f.name for f in dataclasses.fields(EstimatorConfig)]),
+    "ksg": ({"k": 3}, ["k"]),
+    "model": (_TINY_MODEL, ["kind", "model", "n", "seed", "dz", "d", "rho", "dependent"]),
+    "csv": ({**_CSV_MAPPING_SPEC, "path": "{tmp}/ci.csv"},
+            ["path", "dims", "mapping", "semicolon", "shuffle_seed", "normalize"]),
+}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_replayed_value_sweep_ends_in_an_exit_code(tmp_path, capsys, data):
+    if not (tmp_path / "ci.csv").exists():
+        save_csv(gen_cit(200, 1, True, seed=0)[0], str(tmp_path / "ci.csv"))
+    sections = {name: dict(base) for name, (base, _) in _SWEEP_SECTIONS.items()}
+    sections["csv"]["path"] = str(tmp_path / "ci.csv")
+    for name in data.draw(st.lists(st.sampled_from(sorted(sections)), min_size=1, max_size=2, unique=True)):
+        keys = data.draw(st.lists(st.sampled_from(_SWEEP_SECTIONS[name][1] + ["bogus"]), min_size=1,
+                                  max_size=2, unique=True))
+        sections[name].update((key, data.draw(_SWEEP_JSON)) for key in keys)
+    doc = _replay_doc(data.draw(st.sampled_from(["ksg", "cmigan"])), sections["estimator_config"],
+                      sections[data.draw(st.sampled_from(["model", "csv"]))], sections["ksg"])
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with np.errstate(all="ignore"):
+        code = main(["-q", "estimate", "--config", str(path), "--jobs", "1"])
+    captured = capsys.readouterr()
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERICAL), doc
+    assert "Traceback" not in captured.err
+    if code != EXIT_OK:
+        assert captured.out == "", doc

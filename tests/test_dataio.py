@@ -425,3 +425,9 @@ _LINE_END = st.sampled_from(["\n", "\r\n"])
 )
 def test_numpy_and_cell_parsers_agree_on_generated_files(tmp_path, lines, wanted, line_end):
     _check_parsers_agree(tmp_path, "".join(line + end for line, end in lines), wanted, line_end)
+
+
+def test_column_mapping_rejects_a_string_block():
+    # a string block would read one column per character
+    with pytest.raises(TypeError, match="y_cols must be a list"):
+        ColumnMapping(x_cols=["x0"], y_cols="ab")

@@ -157,6 +157,28 @@ class TestConfig:
         # an empty tuple is a single linear map
         assert getattr(EstimatorConfig(**{name: ()}), name) == ()
 
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 64.5), ("batch_size", 64.0), ("batch_size", True), ("batch_size", "64"),
+        ("training_steps", 2.5), ("seed", 1.5), ("seed", True), ("eval_passes", 1.5),
+        ("reg_training_ratio", 1.5), ("runs", True), ("noise_dim", 2.0), ("lr_interval_steps", None),
+        ("initial_lr", True), ("initial_lr", "1e-3"), ("initial_lr", None), ("initial_lr", 10**400),
+        ("lr_decay_factor", False), ("lr_mode", 3), ("standardize", "no"), ("standardize", 1),
+        ("record_trace", None), ("reg_hidden", "ab"), ("reg_hidden", 8), ("reg_hidden", (True,)),
+        ("gen_hidden", (4.0,)), ("gen_hidden", ["8"]),
+    ])
+    def test_ill_typed_value_is_value_error_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EstimatorConfig(**{field: value})
+
+    def test_numpy_numbers_are_stored_as_python_numbers(self):
+        cfg = EstimatorConfig(batch_size=np.int64(64), reg_hidden=[np.int32(8), 4], seed=np.uint8(3),
+                              initial_lr=np.float64(1e-3), lr_decay_factor=2)
+        assert cfg == EstimatorConfig(batch_size=64, reg_hidden=(8, 4), seed=3, initial_lr=1e-3,
+                                      lr_decay_factor=2.0)
+        assert [type(v) for v in (cfg.batch_size, cfg.reg_hidden[0], cfg.seed)] == [int] * 3
+        assert type(cfg.lr_decay_factor) is float
+        json.dumps(cfg.to_dict())
+
 
 class TestMechanics:
     def test_deterministic_given_seed(self):

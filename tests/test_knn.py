@@ -264,3 +264,14 @@ def test_validation_errors():
         ksg_mi(np.zeros((10, 1, 1)), x)
     with pytest.raises(ValueError, match="x, y, z must have the same number of rows"):
         ksg_cmi_result(x, x, x[:5])
+
+
+@pytest.mark.parametrize("k", [5.5, 5.0, True, "5", None])
+def test_ksg_config_takes_positive_integers_only(k):
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        KSGConfig(k=k)
+
+
+def test_ksg_config_stores_a_numpy_k_as_int():
+    cfg = KSGConfig(k=np.int64(3))
+    assert cfg == KSGConfig(k=3) and type(cfg.k) is int
