@@ -166,9 +166,10 @@ def typed_value(name: str, annotation: str, value, low: int = 1):
         raise ValueError(f"{name} is out of range, got {value}") from None
 
 
-def _flag(default, flag: str, help: str | None = None, **extra):
-    """A config field set by the CLI flag ``flag``; ``extra`` holds its ``choices`` or ``min``."""
-    return field(default=default, metadata={"flag": flag, "help": help, **extra})
+def _flag(default, flag: str, doc: str | None = None, **extra):
+    """A config field set by the CLI flag ``flag`` with help text ``doc``;
+    ``extra`` holds the flag's ``choices`` or the field's bound ``min``."""
+    return field(default=default, metadata={"flag": flag, "help": doc, **extra})
 
 
 @dataclass(frozen=True)

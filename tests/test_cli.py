@@ -66,9 +66,9 @@ def _replay_doc(estimator="ksg", config=None, dataset=_TINY_MODEL, ksg=None) -> 
     return doc if ksg is None else {**doc, "ksg": ksg}
 
 
-# bare run_configs that hold one value of the wrong type, as (id, doc, the
-# key the error names); each of the first group exits 0, 1 or 3 at a
-# version that does not check the type
+# bare run_configs that each hold one value of the wrong type, as (id,
+# doc, the key its error names); without the type check each of these
+# exits 0, 1 or 3
 _ILL_TYPED_REPLAYS = [
     *[(f"{key}-{value}", _replay_doc("cmigan", {**_TINY_NET_CONFIG, key: value}), key)
       for key, value in (("batch_size", 64.5), ("training_steps", 2.5), ("seed", 1.5),
@@ -85,8 +85,9 @@ _ILL_TYPED_REPLAYS = [
     ("dataset-dims-true", _replay_doc(dataset={**_CSV_MAPPING_SPEC, "dims": [True, 1, 1], "mapping": None}),
      "dims"),
 ]
-# and values that exit 2 there too, with a message that does not name the key
-_ILL_TYPED_REPLAYS_NAMED = [
+# values whose replay exits 2 without the type check too, but with an
+# error that does not name the key
+_UNNAMED_REPLAYS = [
     ("dataset-n-true", _replay_doc(dataset={**_TINY_MODEL, "n": True}), "n"),
     ("dataset-dz-true", _replay_doc(dataset={**_TINY_MODEL, "dz": True}), "dz"),
     ("dataset-d-float", _replay_doc(dataset={"kind": "model", "model": "linear3", "n": 100, "seed": 0,
@@ -399,8 +400,8 @@ class TestEstimate:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("doc, key", [row[1:] for row in _ILL_TYPED_REPLAYS + _ILL_TYPED_REPLAYS_NAMED],
-                             ids=[row[0] for row in _ILL_TYPED_REPLAYS + _ILL_TYPED_REPLAYS_NAMED])
+    @pytest.mark.parametrize("doc, key", [row[1:] for row in _ILL_TYPED_REPLAYS + _UNNAMED_REPLAYS],
+                             ids=[row[0] for row in _ILL_TYPED_REPLAYS + _UNNAMED_REPLAYS])
     def test_ill_typed_replay_value_is_usage_error_naming_its_key(self, tmp_path, capsys, caplog, doc, key):
         path = str(tmp_path / "bad.json")
         with open(path, "w", encoding="utf-8") as fh:
