@@ -150,8 +150,8 @@ _FIELD_TYPES = {
 
 
 def typed_value(name: str, annotation: str, value, low: int = 1):
-    """``value`` as the type ``annotation`` names (None where it ends in
-    ``| None``), an int at least ``low``; else a ValueError naming ``name``."""
+    """``value`` as the type ``annotation`` names (None where it ends in ``| None``),
+    an int at least ``low`` (0 or 1); else a ValueError naming ``name``."""
     kind = annotation.removesuffix(" | None")
     if value is None and kind != annotation:
         return None
