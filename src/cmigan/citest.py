@@ -11,8 +11,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .estimators import EstimatorConfig, _check_jobs, _parallel_map, estimate
+from .estimators import EstimatorConfig, _parallel_map, estimate
 from .knn import KSGConfig
+from .neuralnet import typed_value
 
 DEFAULT_THRESHOLD = 0.01  # nats
 
@@ -125,7 +126,8 @@ def run_cit_benchmark(
     Datasets whose estimate fails (all runs diverged) are reported,
     marked excluded, and left out of the AuROC.
     """
-    _check_jobs(jobs)
+    typed_value("jobs", "int | None", jobs)
+    threshold = typed_value("threshold", "float", threshold)
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     cfg = config or EstimatorConfig()

@@ -250,7 +250,7 @@ _RETIRED = {
     ("dataset", "shuffle_seed"): None,
 }
 # the type of each typed field of a replayed dataset spec, as an annotation
-_SPEC_TYPES = {"n": "int", "seed": "int", "dz": "int | None", "d": "int | None",
+_SPEC_TYPES = {"n": "int", "seed": "int", "dz": "int | None", "d": "int | None", "rho": "float | None",
                "semicolon": "bool", "dependent": "bool | None"}
 
 
@@ -277,9 +277,9 @@ def _replay_config(path: str) -> dict:
     spec = run_config["dataset"]
     for key, annotation in _SPEC_TYPES.items():
         if key in spec:
-            typed_value(f"{path}: dataset {key}", annotation, spec[key], low=0)
+            typed_value(f"{path}: dataset {key}", annotation, spec[key], min=0)
     for width in spec["dims"] if isinstance(spec.get("dims"), list) else []:
-        typed_value(f"{path}: dataset dims", "int", width, low=0)
+        typed_value(f"{path}: dataset dims", "int", width, min=0)
     return run_config
 
 

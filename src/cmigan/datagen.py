@@ -39,6 +39,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .estimators import SampleSet
+from .neuralnet import typed_value
 
 NONLINEAR_FUNCS = {
     "cos": np.cos,
@@ -82,13 +83,10 @@ class ModelParams:
 
 def _stream(n: int, size: int, size_name: str, seed: int) -> np.random.Generator:
     """The PCG64 stream of a draw of ``n`` rows whose block size is ``size``."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if size < 1:
+    typed_value("n", "int", n)
+    if typed_value(size_name, "int", size, min=None) < 1:
         raise ValueError(f"{size_name} must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(typed_value("seed", "int", seed, min=0))
 
 
 def _assemble(model: str, seed: int, x, y, z, **extras) -> tuple[SampleSet, ModelParams]:

@@ -46,7 +46,7 @@ from .bounds import (
     log_mean_exp,
     softmax_weights,
 )
-from .knn import KSGConfig, is_integer, ksg_cmi_result, ksg_mi_result
+from .knn import KSGConfig, ksg_cmi_result, ksg_mi_result
 # perfbench's tracer wraps the passes, add_grads and rmsprop_step by
 # their names in this module, so they stay imported here even where the
 # training loop calls the in-place rmsprop_update instead
@@ -58,6 +58,7 @@ from .neuralnet import (
     NumericalError,
     ScheduleConfig,
     add_grads,
+    check_fields,
     lr_at,
     mlp_backward_cached,
     mlp_forward,
@@ -66,6 +67,7 @@ from .neuralnet import (
     rmsprop_init,
     rmsprop_step,
     rmsprop_update,
+    typed_value,
 )
 
 log = logging.getLogger(__name__)
@@ -83,7 +85,7 @@ class SampleSet:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        self.dims = tuple(int(d) for d in self.dims)
+        self.dims = tuple(typed_value("dims", "int", d, min=None) for d in self.dims)
         if self.data.ndim != 2:
             raise ValueError(f"data must be 2-d, got shape {self.data.shape}")
         if len(self.dims) != 3:
@@ -139,36 +141,10 @@ class SampleSet:
         return SampleSet(scaled, self.dims)
 
 
-# what a config field of each annotation takes (a bool is neither an int
-# nor a float), the type it stores and the words for what it takes
-_FIELD_TYPES = {
-    "int": (is_integer, int, "an integer"),
-    "float": (lambda v: is_integer(v) or isinstance(v, (float, np.floating)), float, "a real number"),
-    "bool": (lambda v: isinstance(v, bool), bool, "true or false"),
-    "str": (lambda v: isinstance(v, str), str, "a string"),
-}
-
-
-def typed_value(name: str, annotation: str, value, low: int = 1):
-    """``value`` as the type ``annotation`` names (None where it ends in ``| None``),
-    an int at least ``low`` (0 or 1); else a ValueError naming ``name``."""
-    kind = annotation.removesuffix(" | None")
-    if value is None and kind != annotation:
-        return None
-    takes, store, what = _FIELD_TYPES[kind]
-    if not takes(value):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    if kind == "int" and value < low:
-        raise ValueError(f"{name} must be {'positive' if low else 'non-negative'}, got {value}")
-    try:
-        return store(value)
-    except OverflowError:  # an int beyond the float range
-        raise ValueError(f"{name} is out of range, got {value}") from None
-
-
 def _flag(default, flag: str, doc: str | None = None, **extra):
     """A config field set by the CLI flag ``flag`` with help text ``doc``;
-    ``extra`` holds the flag's ``choices`` or the field's bound ``min``."""
+    ``extra`` holds the field's ``min``, ``above`` or ``choices`` (see
+    :func:`check_fields`), and the flag takes the same ``choices``."""
     return field(default=default, metadata={"flag": flag, "help": doc, **extra})
 
 
@@ -184,10 +160,10 @@ class EstimatorConfig:
     means "match the generator output width".
 
     Each field is stated once, here. ``__post_init__`` checks its value
-    against the type its annotation names (see :func:`typed_value`) and
-    an int against its lower bound, 1 or the ``min`` in its metadata;
-    :meth:`schedule` checks the learning-rate values. The ``flag`` in a
-    field's metadata is the CLI flag that sets it.
+    against the type its annotation names and the bounds its metadata
+    states (see :func:`check_fields`); an int is at least 1 unless its
+    ``min`` says 0. The ``flag`` in a field's metadata is the CLI flag
+    that sets it.
     """
 
     reg_hidden: tuple[int, ...] = _flag((128, 32), "--reg-hidden", "regression net hidden widths, e.g. 128,32")
@@ -199,24 +175,15 @@ class EstimatorConfig:
     runs: int = _flag(1, "--runs", "independent training runs (default: 1)")
     seed: int = _flag(0, "--seed", "base seed (default: 0); run r uses seed+r", min=0)
     eval_passes: int = _flag(10, "--eval-passes")
-    initial_lr: float = _flag(5e-5, "--lr", "initial learning rate")
+    initial_lr: float = _flag(5e-5, "--lr", "initial learning rate", above=0)
     lr_interval_steps: int = _flag(1000, "--lr-interval", "steps per decay interval")
-    lr_decay_factor: float = _flag(10.0, "--lr-decay", "total decay factor")
+    lr_decay_factor: float = _flag(10.0, "--lr-decay", "total decay factor", above=1)
     lr_mode: str = _flag("total_decay", "--lr-mode", choices=SCHEDULE_MODES)
     standardize: bool = True
     record_trace: bool = False
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type == "tuple[int, ...]":
-                if not (isinstance(value, (list, tuple)) and all(is_integer(w) and w >= 1 for w in value)):
-                    raise ValueError(f"{f.name} widths must be positive integers, got {value!r}")
-                value = tuple(int(w) for w in value)
-            else:
-                value = typed_value(f.name, f.type, value, f.metadata.get("min", 1))
-            object.__setattr__(self, f.name, value)
-        self.schedule()  # checks the learning-rate fields
+        check_fields(self)
 
     @classmethod
     def cit_defaults(cls, **overrides) -> "EstimatorConfig":
@@ -553,11 +520,6 @@ def _one_blas_thread():
         setter(1)
 
 
-def _check_jobs(jobs):
-    """A ``ValueError`` unless ``jobs`` is None or an int of at least 1."""
-    typed_value("jobs", "int | None", jobs)
-
-
 def _parallel_map(fn, tasks: list, jobs: int | None) -> list:
     """``[fn(*t) for t in tasks]``, in task order, over ``min(jobs,
     len(tasks))`` worker processes (None: the usable CPUs) that each run
@@ -701,7 +663,7 @@ def estimate(
     daemonic process runs in process, and KSG threads its own tree
     queries and ignores ``jobs``.
     """
-    _check_jobs(jobs)
+    typed_value("jobs", "int | None", jobs)
     if estimator not in ESTIMATOR_IDS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_IDS}")
     needs_z = _NEEDS_Z[estimator]

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .neuralnet import is_integer
+
 # fraction of the estimator's ceiling psi(n) - psi(k) above which the
 # estimate is flagged as saturated (near-deterministic relation)
 _SATURATION_FRACTION = 0.85
@@ -63,11 +65,6 @@ def __getattr__(name):
         _load_scipy()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -53,6 +53,56 @@ RMSPROP_EPS = 1e-8
 
 class NumericalError(RuntimeError):
     """A training step produced non-finite parameters or losses."""
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# what a value of each annotation takes (a bool is neither an int nor a
+# float), the type it stores and what its error says it must be
+_FIELD_TYPES = {
+    "int": (is_integer, int, "must be an integer"),
+    "float": (lambda v: is_integer(v) or isinstance(v, (float, np.floating)), float, "must be a real number"),
+    "bool": (lambda v: isinstance(v, bool), bool, "must be true or false"),
+    "str": (lambda v: isinstance(v, str), str, "must be a string"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(is_integer(w) and w >= 1 for w in v),
+                        lambda v: tuple(map(int, v)), "widths must be positive integers"),
+}
+
+
+def typed_value(name: str, annotation: str, value, min=1, above=None, choices=None):
+    """``value`` as the type ``annotation`` names (None where it ends in
+    ``| None``); else a ValueError naming ``name``. An int must be at least
+    ``min`` (1, 0, or None for no bound), a real given ``above`` finite and
+    greater than it, and a value given ``choices`` one of them."""
+    kind = annotation.removesuffix(" | None")
+    if value is None and kind != annotation:
+        return None
+    takes, store, what = _FIELD_TYPES[kind]
+    if not takes(value):
+        raise ValueError(f"{name} {what}, got {value!r}")
+    try:
+        value = store(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} is out of range, got {value}") from None
+    if choices is not None and value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+    if kind == "int" and min is not None and value < min:
+        raise ValueError(f"{name} must be {'positive' if min else 'non-negative'}, got {value}")
+    if above is not None and not above < value < math.inf:
+        bound = "positive and finite" if above == 0 else f"finite and exceed {above}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def check_fields(obj):
+    """Store each field of the dataclass ``obj`` through :func:`typed_value`,
+    with the ``min``, ``above`` and ``choices`` its metadata states."""
+    for f in fields(obj):
+        bounds = {key: f.metadata[key] for key in ("min", "above", "choices") if key in f.metadata}
+        object.__setattr__(obj, f.name, typed_value(f.name, f.type, getattr(obj, f.name), **bounds))
 
 
 @dataclass(frozen=True)
@@ -73,10 +123,7 @@ class MLPSpec:
     output_dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        if any(int(d) != d or d < 1 for d in dims):
-            raise ValueError(f"layer widths must be positive integers, got {dims}")
+        check_fields(self)
 
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_dims, self.output_dim)
@@ -381,25 +428,19 @@ class ScheduleConfig:
     boundary (``initial_lr * decay_factor**(-completed)``) and floors the
     result at 1e-8; over many intervals this effectively freezes
     training, which is why it is not the default.
+
+    :func:`check_fields` checks each field: ``total_steps``, like
+    ``interval_steps``, is an integer of at least 1 in either mode.
     """
 
-    initial_lr: float
+    initial_lr: float = field(metadata={"above": 0})
     interval_steps: int
-    decay_factor: float
-    mode: str = "total_decay"
+    decay_factor: float = field(metadata={"above": 1})
+    mode: str = field(default="total_decay", metadata={"choices": SCHEDULE_MODES})
     total_steps: int = 30000
 
     def __post_init__(self):
-        if not 0 < self.initial_lr < math.inf:
-            raise ValueError(f"initial_lr must be positive and finite, got {self.initial_lr}")
-        if self.interval_steps < 1:
-            raise ValueError("interval_steps must be a positive integer")
-        if not 1 < self.decay_factor < math.inf:
-            raise ValueError(f"decay_factor must be finite and exceed 1, got {self.decay_factor}")
-        if self.mode not in SCHEDULE_MODES:
-            raise ValueError(f"mode must be one of {SCHEDULE_MODES}, got {self.mode!r}")
-        if self.mode == "total_decay" and self.total_steps < 1:
-            raise ValueError("total_steps must be positive for total_decay")
+        check_fields(self)
 
 
 def lr_at(step: int, config: ScheduleConfig) -> float:
@@ -476,13 +517,9 @@ def gradient_check(
     ``seed`` and a finite, positive ``h`` and ``tol``; any error that is
     not below ``tol``, NaN included, is a failure.
     """
-    if num_nets < 1:
-        raise ValueError(f"num_nets must be at least 1, got {num_nets}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    for name, value in (("h", h), ("tol", tol)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    num_nets = typed_value("num_nets", "int", num_nets)
+    seed = typed_value("seed", "int", seed, min=0)
+    h, tol = typed_value("h", "float", h, above=0), typed_value("tol", "float", tol, above=0)
     if backward_fn is None:
         backward_fn = mlp_backward
     worst = 0.0

@@ -30,6 +30,8 @@ TINY_NET = [
 
 # a dataset spec with every field the linear1 model needs
 _TINY_MODEL = {"kind": "model", "model": "linear1", "n": 100, "seed": 0, "dz": 1}
+# the same for the gauss model, less its rho
+_GAUSS_MODEL = {"kind": "model", "model": "gauss", "n": 100, "seed": 0, "d": 1}
 
 # the run_config an earlier version wrote for the pinned cmigan run of
 # test_golden_per_run_and_trace_bytes, with RMSProp's rho and eps as fields
@@ -84,14 +86,18 @@ _ILL_TYPED_REPLAYS = [
     ("dataset-seed-true", _replay_doc(dataset={**_TINY_MODEL, "seed": True}), "seed"),
     ("dataset-dims-true", _replay_doc(dataset={**_CSV_MAPPING_SPEC, "dims": [True, 1, 1], "mapping": None}),
      "dims"),
+    ("dataset-rho-string", _replay_doc(dataset={**_GAUSS_MODEL, "rho": "0.5"}), "rho"),
 ]
-# values whose replay exits 2 without the type check too, but with an
-# error that does not name the key
+# values whose replay exits 2 without the type check too, but not with
+# the error "<key> must be ..."
 _UNNAMED_REPLAYS = [
     ("dataset-n-true", _replay_doc(dataset={**_TINY_MODEL, "n": True}), "n"),
     ("dataset-dz-true", _replay_doc(dataset={**_TINY_MODEL, "dz": True}), "dz"),
     ("dataset-d-float", _replay_doc(dataset={"kind": "model", "model": "linear3", "n": 100, "seed": 0,
                                              "d": 1.0}), "d"),
+    ("dataset-rho-true", _replay_doc(dataset={**_GAUSS_MODEL, "rho": True}), "rho"),
+    ("lr_decay_factor-1", _replay_doc("cmigan", {**_TINY_NET_CONFIG, "lr_decay_factor": 1}), "lr_decay_factor"),
+    ("lr_mode-bogus", _replay_doc("cmigan", {**_TINY_NET_CONFIG, "lr_mode": "bogus"}), "lr_mode"),
 ]
 
 
@@ -902,6 +908,8 @@ _EXIT_CODES = [
      None, EXIT_USAGE, "unrecognized arguments: --shuffle-seed 3"),
     ("ksg-k-0", [*_KSG_ON_MODEL, "--k", "0"], None, EXIT_USAGE, "k must be a positive integer"),
     ("runs-0", [*_CMIGAN_ON_MODEL, "--runs", "0"], None, EXIT_USAGE, "runs must be positive"),
+    ("lr-decay-1", [*_CMIGAN_ON_MODEL, "--lr-decay", "1"],
+     None, EXIT_USAGE, "lr_decay_factor must be finite and exceed 1, got 1.0"),
     ("jobs-0", [*_KSG_ON_MODEL, "--jobs", "0"], None, EXIT_USAGE, "--jobs"),
     ("gradcheck-negative-seed", ["gradcheck", "--nets", "1", "--seed", "-1"],
      None, EXIT_USAGE, _NEGATIVE_SEED),

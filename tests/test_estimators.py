@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cmigan import estimators
 from cmigan.citest import run_cit_benchmark
+from cmigan.datagen import gen_linear1
 from cmigan.estimators import (
     ESTIMATOR_IDS,
     EstimateReport,
@@ -24,6 +25,7 @@ from cmigan.estimators import (
     mi_diff_gan_estimate,
     mi_gan_estimate,
 )
+from cmigan.neuralnet import MLPSpec, ScheduleConfig, gradient_check
 
 from oracle_tools import hex_floats as _pin
 
@@ -162,7 +164,8 @@ class TestConfig:
         ("training_steps", 2.5), ("seed", 1.5), ("seed", True), ("eval_passes", 1.5),
         ("reg_training_ratio", 1.5), ("runs", True), ("noise_dim", 2.0), ("lr_interval_steps", None),
         ("initial_lr", True), ("initial_lr", "1e-3"), ("initial_lr", None), ("initial_lr", 10**400),
-        ("lr_decay_factor", False), ("lr_mode", 3), ("standardize", "no"), ("standardize", 1),
+        ("lr_decay_factor", False), ("lr_decay_factor", 1), ("lr_mode", 3), ("lr_mode", "bogus"),
+        ("standardize", "no"), ("standardize", 1),
         ("record_trace", None), ("reg_hidden", "ab"), ("reg_hidden", 8), ("reg_hidden", (True,)),
         ("gen_hidden", (4.0,)), ("gen_hidden", ["8"]),
     ])
@@ -611,3 +614,27 @@ def test_bad_jobs_is_value_error(entry, jobs):
             estimate(s, "cmigan", TINY, jobs=jobs)
         else:
             run_cit_benchmark([(s, "CI"), (s, "CD")], "cmigan", TINY, jobs=jobs)
+
+
+# library calls that each take a value of the wrong type or out of its
+# bound, as (id, call, the argument its error names)
+_ILL_TYPED_CALLS = [
+    ("schedule-string-lr", lambda: ScheduleConfig("0.1", 1000, 10.0), "initial_lr"),
+    ("schedule-fractional-interval", lambda: ScheduleConfig(1e-3, 2.5, 10.0), "interval_steps"),
+    ("schedule-per-interval-0-steps",
+     lambda: ScheduleConfig(1e-3, 1000, 10.0, mode="per_interval", total_steps=0), "total_steps"),
+    ("spec-bool-width", lambda: MLPSpec(True, (3,), 1), "input_dim"),
+    ("spec-float-width", lambda: MLPSpec(2.0, (3,), 1), "input_dim"),
+    ("sampleset-fractional-dims", lambda: SampleSet(np.zeros((4, 3)), (1.7, 1, 1)), "dims"),
+    ("gen-fractional-n", lambda: gen_linear1(10.5, 1, 0), "n"),
+    ("gradcheck-fractional-nets", lambda: gradient_check(num_nets=1.5), "num_nets"),
+    ("cit-string-threshold", lambda: run_cit_benchmark([], "ksg", threshold="0.1"), "threshold"),
+    ("cit-bool-threshold", lambda: run_cit_benchmark([], "ksg", threshold=True), "threshold"),
+]
+
+
+@pytest.mark.parametrize("call, name", [row[1:] for row in _ILL_TYPED_CALLS],
+                         ids=[row[0] for row in _ILL_TYPED_CALLS])
+def test_ill_typed_argument_is_value_error_naming_it(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        call()

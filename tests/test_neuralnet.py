@@ -33,6 +33,12 @@ def test_spec_shapes_and_validation():
         MLPSpec(0, (4,), 1)
 
 
+def test_spec_stores_numpy_widths_as_python_ints():
+    spec = MLPSpec(np.int64(2), (np.int64(3),), 1)
+    assert spec == MLPSpec(2, (3,), 1)
+    assert [type(d) for d in spec.layer_dims()] == [int] * 3
+
+
 def test_init_shapes_and_bounds():
     # hidden [128, 32] on an 11-column input, as in the conditional runs
     spec = MLPSpec(11, (128, 32), 1)
