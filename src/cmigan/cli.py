@@ -38,7 +38,7 @@ from .dataio import (
     write_manifest,
     write_sidecar,
 )
-from .estimators import ESTIMATOR_IDS, EstimatorConfig, check_rows, estimate, typed_value
+from .estimators import ESTIMATOR_IDS, EstimatorConfig, check_rows, estimate
 from .knn import KSGConfig
 from .neuralnet import RMSPROP_EPS, RMSPROP_RHO, NumericalError, gradient_check
 
@@ -145,8 +145,6 @@ def _dataset_spec_from_args(args) -> dict:
         mapping = dims = None
         if args.dims is not None:
             dims = _int_list(args.dims)
-            if len(dims) != 3:
-                raise ValueError("--dims must be dx,dy,dz")
         elif args.x_cols and args.y_cols:
             mapping = {key: _cols(getattr(args, key)) for key in ("x_cols", "y_cols", "z_cols")}
         else:
@@ -249,14 +247,12 @@ _RETIRED = {
     ("dataset", "normalize"): "none",
     ("dataset", "shuffle_seed"): None,
 }
-# the type of each typed field of a replayed dataset spec, as an annotation
-_SPEC_TYPES = {"n": "int", "seed": "int", "dz": "int | None", "d": "int | None", "rho": "float | None",
-               "semicolon": "bool", "dependent": "bool | None"}
 
 
 def _replay_config(path: str) -> dict:
     """The ``run_config`` of a report (or a bare run_config), with its
-    shape, retired keys and dataset spec types checked."""
+    shape and retired keys checked; the code that reads each dataset
+    value checks its type, before any file is read."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -274,12 +270,6 @@ def _replay_config(path: str) -> dict:
         if (given := run_config[section].get(key, value)) != value:
             raise ValueError(f"{path}: {section} {key}={json.dumps(given)} is no longer supported; "
                              f"only {json.dumps(value)} replays")
-    spec = run_config["dataset"]
-    for key, annotation in _SPEC_TYPES.items():
-        if key in spec:
-            typed_value(f"{path}: dataset {key}", annotation, spec[key], min=0)
-    for width in spec["dims"] if isinstance(spec.get("dims"), list) else []:
-        typed_value(f"{path}: dataset dims", "int", width, min=0)
     return run_config
 
 

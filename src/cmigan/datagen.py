@@ -28,7 +28,7 @@ Closed-form truths: linear1/linear2 give 0.5*ln(101); linear3 gives
 (d/2)*ln 2; gauss gives -(d/2)*ln(1-rho^2). The nonlinear and cit
 models have no closed form (use the kNN ground-truth path).
 
-Each model is one row of the ``_MODELS`` table at the end of this module.
+Each model is one row of the ``_MODELS`` table near the end of this module.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .estimators import SampleSet
-from .neuralnet import typed_value
+from .neuralnet import check_fields, typed_value
 
 NONLINEAR_FUNCS = {
     "cos": np.cos,
@@ -48,37 +48,6 @@ NONLINEAR_FUNCS = {
 }
 
 RNG_NAME = "numpy-default_rng-PCG64"
-
-
-@dataclass
-class ModelParams:
-    """Everything needed to regenerate a dataset and score estimates on it."""
-
-    model: str
-    n: int
-    dx: int
-    dy: int
-    dz: int
-    seed: int
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.model not in MODEL_IDS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODEL_IDS}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["rng"] = RNG_NAME
-        d["extras"] = {
-            key: val.tolist() if isinstance(val, np.ndarray) else val
-            for key, val in d.pop("extras").items()
-        }
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelParams":
-        ints = {key: int(d[key]) for key in ("n", "dx", "dy", "dz", "seed")}
-        return cls(model=d["model"], **ints, extras=dict(d.get("extras", {})))
 
 
 def _stream(n: int, size: int, size_name: str, seed: int) -> np.random.Generator:
@@ -151,6 +120,7 @@ def gen_cit(n: int, dz: int, dependent: bool, seed: int) -> tuple[SampleSet, Mod
     couples Y to X and 'CI' otherwise.
     """
     rng = _stream(n, dz, "dz", seed)
+    typed_value("dependent", "bool", dependent)
     a_x = rng.uniform(0.0, 1.0, size=dz)
     a_x = a_x / np.linalg.norm(a_x)
     b_y = rng.uniform(0.0, 1.0, size=dz)
@@ -164,7 +134,7 @@ def gen_cit(n: int, dz: int, dependent: bool, seed: int) -> tuple[SampleSet, Mod
     y = np.cos(coupling + (z @ b_y)[:, None] + eta2)
     label = "CD" if dependent else "CI"
     samples, params = _assemble(
-        "cit", seed, x, y, z, a_x=a_x, b_y=b_y, c=c, dependent=bool(dependent)
+        "cit", seed, x, y, z, a_x=a_x, b_y=b_y, c=c, dependent=dependent
     )
     return samples, params, label
 
@@ -172,11 +142,11 @@ def gen_cit(n: int, dz: int, dependent: bool, seed: int) -> tuple[SampleSet, Mod
 def gen_gauss(n: int, d: int, rho: float, seed: int) -> tuple[SampleSet, ModelParams]:
     """d independent unit-variance bivariate normal pairs, correlation rho."""
     rng = _stream(n, d, "d", seed)
-    if not -1.0 < rho < 1.0:
+    if not -1.0 < (rho := typed_value("rho", "float", rho)) < 1.0:
         raise ValueError("rho must lie strictly inside (-1, 1)")
     x = rng.standard_normal((n, d))
     y = rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal((n, d))
-    return _assemble("gauss", seed, x, y, np.empty((n, 0)), rho=float(rho))
+    return _assemble("gauss", seed, x, y, np.empty((n, 0)), rho=rho)
 
 
 def _gauss_truth(params: ModelParams) -> float:
@@ -196,6 +166,38 @@ _MODELS = {
 }
 
 MODEL_IDS = tuple(_MODELS)
+# each argument of a generator between n and seed: its type and the value None stands for
+_ARGS = {"dz": ("int", 1), "d": ("int", 1), "rho": ("float", None), "dependent": ("bool", False)}
+
+
+@dataclass
+class ModelParams:
+    """Everything needed to regenerate a dataset and score estimates on it."""
+
+    model: str = field(metadata={"choices": MODEL_IDS})
+    n: int
+    dx: int
+    dy: int
+    dz: int = field(metadata={"min": 0})
+    seed: int = field(metadata={"min": 0})
+    extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_fields(self)
+
+    def to_dict(self) -> dict:
+        d = asdict(self)
+        d["rng"] = RNG_NAME
+        d["extras"] = {
+            key: val.tolist() if isinstance(val, np.ndarray) else val
+            for key, val in d.pop("extras").items()
+        }
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ModelParams":
+        sizes = {key: d[key] for key in ("n", "dx", "dy", "dz", "seed")}
+        return cls(model=d["model"], **sizes, extras=d.get("extras", {}))
 
 
 def _model(model: str):
@@ -208,15 +210,15 @@ def generate(model: str, n: int, seed: int, dz=None, d=None, rho=None, dependent
     """Draw a dataset of ``model``; returns (samples, params, label).
 
     The label ('CI' or 'CD') comes with ``cit`` only and is None for the
-    other models. ``dz`` and ``d`` default to 1; ``gauss`` needs ``rho``.
+    other models. ``dz`` and ``d`` default to 1 and ``dependent`` to False;
+    ``gauss`` needs ``rho``. Each of the four may be None and is typed
+    whatever the model; the generator that reads one checks its bound.
     """
     gen, arg_names, _ = _model(model)
-    if model == "gauss":
-        if rho is None:
-            raise ValueError("the gauss model needs rho")
-        rho = float(rho)
-    args = {"dz": 1 if dz is None else dz, "d": 1 if d is None else d, "rho": rho,
-            "dependent": bool(dependent)}
+    args = {"dz": dz, "d": d, "rho": rho, "dependent": dependent}
+    for name, (kind, default) in _ARGS.items():
+        if typed_value(name, kind + " | None", args[name], min=None) is None:
+            args[name] = default
     out = gen(n, *(args[name] for name in arg_names), seed)
     return out if model == "cit" else (*out, None)
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .datagen import ModelParams
 from .estimators import SampleSet
+from .neuralnet import typed_value
 
 MISSING_SENTINEL = -200.0
 MAX_CSV_BYTES = 1 << 29  # 512 MiB guard against pathological inputs
@@ -55,7 +56,7 @@ class ColumnMapping:
     @classmethod
     def from_dims(cls, dims) -> "ColumnMapping":
         """The mapping of a file whose columns are [x | y | z], ``dims`` wide."""
-        dx, dy, dz = dims
+        dx, dy, dz = typed_value("dims", "tuple[int, int, int]", dims)
         return cls(list(range(dx)), list(range(dx, dx + dy)), list(range(dx + dy, dx + dy + dz)))
 
 
@@ -147,6 +148,7 @@ def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False, whole_h
     falls back to parsing cell by cell, with the same result.
     A malformed quote or an over-long cell is a DataError naming its line.
     """
+    typed_value("semicolon", "bool", semicolon)
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
     if os.path.getsize(path) > MAX_CSV_BYTES:
@@ -248,11 +250,7 @@ class ManifestEntry:
             raise DataError(f"manifest csv must be a non-empty string, got {self.csv!r}")
         if self.label not in ("CI", "CD"):
             raise DataError(f"manifest label must be CI or CD, got {self.label!r}")
-        dims = self.dims
-        ints = isinstance(dims, (list, tuple)) and all(type(d) is int for d in dims)
-        if not (ints and len(dims) == 3 and min(dims[:2]) >= 1 and dims[2] >= 0):
-            raise DataError(f"manifest dims must be ints [dx, dy, dz], dx, dy >= 1, dz >= 0, got {dims!r}")
-        self.dims = tuple(dims)
+        self.dims = typed_value("dims", "tuple[int, int, int]", self.dims)
 
 
 def write_manifest(path: str, entries: list[ManifestEntry]):
@@ -275,6 +273,6 @@ def read_manifest(path: str) -> list[ManifestEntry]:
     for i, entry in enumerate(doc["datasets"]):
         try:
             out.append(ManifestEntry(entry["csv"], entry["label"], entry["dims"]))
-        except (KeyError, TypeError, DataError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed dataset entry {i}: {exc}") from None
     return out

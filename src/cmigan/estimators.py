@@ -85,18 +85,11 @@ class SampleSet:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        self.dims = tuple(typed_value("dims", "int", d, min=None) for d in self.dims)
+        self.dims = typed_value("dims", "tuple[int, int, int]", self.dims)
         if self.data.ndim != 2:
             raise ValueError(f"data must be 2-d, got shape {self.data.shape}")
-        if len(self.dims) != 3:
-            raise ValueError("dims must be (dx, dy, dz)")
-        dx, dy, dz = self.dims
-        if dx < 1 or dy < 1 or dz < 0:
-            raise ValueError(f"need dx >= 1, dy >= 1, dz >= 0, got {self.dims}")
-        if dx + dy + dz != self.data.shape[1]:
-            raise ValueError(
-                f"dims {self.dims} sum to {dx + dy + dz}, data has {self.data.shape[1]} columns"
-            )
+        if (width := sum(self.dims)) != self.data.shape[1]:
+            raise ValueError(f"dims {self.dims} sum to {width}, data has {self.data.shape[1]} columns")
         if not np.isfinite(self.data).all():
             raise ValueError("data contains non-finite values")
 

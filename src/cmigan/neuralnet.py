@@ -67,8 +67,13 @@ _FIELD_TYPES = {
     "float": (lambda v: is_integer(v) or isinstance(v, (float, np.floating)), float, "must be a real number"),
     "bool": (lambda v: isinstance(v, bool), bool, "must be true or false"),
     "str": (lambda v: isinstance(v, str), str, "must be a string"),
+    "dict": (lambda v: isinstance(v, dict), dict, "must be a dict"),
     "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(is_integer(w) and w >= 1 for w in v),
                         lambda v: tuple(map(int, v)), "widths must be positive integers"),
+    # the [x | y | z] block widths of a sample matrix
+    "tuple[int, int, int]": (lambda v: isinstance(v, (list, tuple)) and len(v) == 3
+                             and all(map(is_integer, v)) and min(v[:2]) >= 1 and v[2] >= 0,
+                             lambda v: tuple(map(int, v)), "must be three integers, need dx >= 1, dy >= 1, dz >= 0"),
 }
 
 

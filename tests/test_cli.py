@@ -852,6 +852,7 @@ _REPLAY = ["estimate", "--config", "{tmp}/replay.json"]
 _NEGATIVE_SEED = "seed must be non-negative, got -1"
 _NO_DATASETS = "--n-ci and --n-cd must be non-negative and not both 0"
 _NO_SUCH_FILE = "No such file or directory"
+_BAD_DIMS = "dims must be three integers, need dx >= 1, dy >= 1, dz >= 0, got "
 
 # files that rows below read, besides ci.csv, cd.csv and manifest.json
 _FILES = {
@@ -868,6 +869,9 @@ _FILES = {
     "numeric-csv-manifest.json": json.dumps(
         {"datasets": [{"csv": 5, "label": "CI", "dims": [1, 1, 1]}]}
     ),
+    "two-dims-manifest.json": json.dumps(
+        {"datasets": [{"csv": "ci.csv", "label": "CI", "dims": [1, 1]}]}
+    ),
     # a bare run_config that replays ksg on a generated dataset
     "replay.json": json.dumps({
         "command": "estimate", "estimator": "ksg", "dataset": _TINY_MODEL,
@@ -878,6 +882,13 @@ _FILES = {
         "estimator_config": {},
     }),
     "replay-non-object.json": json.dumps({"run_config": [1]}),
+    # a CSV spec split by two dims; the file is never read
+    "replay-two-dims.json": json.dumps({
+        "command": "estimate", "estimator": "ksg", "estimator_config": {}, "dataset": {
+            "kind": "csv", "path": "never-written.csv", "dims": [1, 1], "mapping": None,
+            "semicolon": False,
+        },
+    }),
     # an older report of a shuffled CSV; the file is never read
     "replay-shuffled.json": json.dumps({
         "command": "estimate", "estimator": "ksg", "estimator_config": {}, "dataset": {
@@ -966,6 +977,11 @@ _EXIT_CODES = [
     ("manifest-dims-narrower-than-csv",
      ["citest", "--manifest", "{tmp}/narrow-manifest.json", "--estimator", "ksg"],
      None, EXIT_DATA, "--dims 1,1,0 does not cover the 3 CSV columns"),
+    # a bad --dims value is a usage error, bad manifest dims a data error
+    ("dims-negative-dz", [*_KSG_ON_CSV[:-1], "1,1,-1"], None, EXIT_USAGE, _BAD_DIMS + "[1, 1, -1]"),
+    ("dims-zero-dx", [*_KSG_ON_CSV[:-1], "0,1,1"], None, EXIT_USAGE, _BAD_DIMS + "[0, 1, 1]"),
+    ("manifest-two-dims", ["citest", "--manifest", "{tmp}/two-dims-manifest.json", "--estimator", "ksg"],
+     None, EXIT_DATA, "malformed dataset entry 0: " + _BAD_DIMS + "[1, 1]"),
     ("manifest-numeric-csv",
      ["citest", "--manifest", "{tmp}/numeric-csv-manifest.json", "--estimator", "ksg"],
      None, EXIT_DATA, "malformed dataset entry 0: manifest csv must be a non-empty string"),
@@ -1034,6 +1050,8 @@ _EXIT_CODES = [
      None, EXIT_USAGE, "unknown dataset kind 'bogus'"),
     ("replay-non-object", ["estimate", "--config", "{tmp}/replay-non-object.json"],
      None, EXIT_USAGE, "replay-non-object.json: run_config must be a JSON object"),
+    ("replay-two-dims", ["estimate", "--config", "{tmp}/replay-two-dims.json"],
+     None, EXIT_USAGE, _BAD_DIMS + "[1, 1]"),
     ("replay-shuffled-csv", ["estimate", "--config", "{tmp}/replay-shuffled.json"],
      None, EXIT_USAGE, "dataset shuffle_seed=3 is no longer supported"),
 ]

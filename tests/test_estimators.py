@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from cmigan import estimators
 from cmigan.citest import run_cit_benchmark
-from cmigan.datagen import gen_linear1
+from cmigan.datagen import ModelParams, gen_cit, gen_gauss, gen_linear1, generate
+from cmigan.dataio import ColumnMapping, load_csv
 from cmigan.estimators import (
     ESTIMATOR_IDS,
     EstimateReport,
@@ -630,6 +631,18 @@ _ILL_TYPED_CALLS = [
     ("gradcheck-fractional-nets", lambda: gradient_check(num_nets=1.5), "num_nets"),
     ("cit-string-threshold", lambda: run_cit_benchmark([], "ksg", threshold="0.1"), "threshold"),
     ("cit-bool-threshold", lambda: run_cit_benchmark([], "ksg", threshold=True), "threshold"),
+    ("generate-gauss-string-rho", lambda: generate("gauss", 100, 0, d=1, rho="0.5"), "rho"),
+    ("gauss-string-rho", lambda: gen_gauss(50, 1, "0.5", 0), "rho"),
+    ("cit-string-dependent", lambda: gen_cit(50, 1, "no", 0), "dependent"),
+    ("generate-cit-string-dependent", lambda: generate("cit", 50, 0, dependent="no"), "dependent"),
+    # checked before the file, which no test writes, is opened
+    ("load-csv-string-semicolon",
+     lambda: load_csv("never-written.csv", ColumnMapping.from_dims((1, 1, 1)), semicolon="no"), "semicolon"),
+    ("mapping-two-dims", lambda: ColumnMapping.from_dims((1, 1)), "dims"),
+    ("mapping-negative-dz", lambda: ColumnMapping.from_dims((1, 1, -1)), "dims"),
+    ("model-params-fractional-n", lambda: ModelParams.from_dict(
+        {"model": "linear1", "n": 100.7, "dx": 1, "dy": 1, "dz": 1, "seed": 0.9}), "n"),
+    ("model-params-bool-n", lambda: ModelParams("linear1", True, 1, 1, 1, -3), "n"),
 ]
 
 
