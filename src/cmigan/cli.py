@@ -52,7 +52,7 @@ EXIT_NUMERICAL = 4
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
@@ -135,11 +135,6 @@ def _check_flags(args, given: str):
             raise ValueError(f"{flag} does not apply to the {args.model} model, which takes {flags}")
 
 
-def _csv_spec(path: str, dims=None, mapping=None, semicolon=False) -> dict:
-    """The dataset spec of a CSV file split by ``dims`` or by a column ``mapping``."""
-    return dict(kind="csv", path=os.path.abspath(path), dims=dims, mapping=mapping, semicolon=semicolon)
-
-
 def _dataset_spec_from_args(args) -> dict:
     if args.data is not None:
         mapping = dims = None
@@ -149,25 +144,32 @@ def _dataset_spec_from_args(args) -> dict:
             mapping = {key: _cols(getattr(args, key)) for key in ("x_cols", "y_cols", "z_cols")}
         else:
             raise ValueError("CSV input needs --dims, or --x-cols and --y-cols (and --z-cols)")
-        return _csv_spec(args.data, dims, mapping, bool(args.semicolon))
+        return dict(kind="csv", path=os.path.abspath(args.data), dims=dims, mapping=mapping,
+                    semicolon=bool(args.semicolon))
     return dict(kind="model", model=args.model, n=args.n, dz=args.dz, d=args.d, rho=args.rho,
                 dependent=bool(args.dependent), seed=0 if args.data_seed is None else args.data_seed)
 
 
+def csv_dataset(path, dims=None, mapping=None, semicolon=False):
+    """The samples of a CSV file split by ``dims`` or by a column
+    ``mapping``, which holds the ColumnMapping fields."""
+    by_dims = dims is not None
+    columns = ColumnMapping.from_dims(dims) if by_dims else ColumnMapping(**mapping)
+    loaded = load_csv(path, columns, semicolon=semicolon, whole_header=by_dims)
+    log.info("loaded %s: %d rows kept, %d dropped", path, loaded.kept_rows, loaded.dropped_rows)
+    return loaded.samples
+
+
 def _load_dataset(spec: dict):
-    if spec["kind"] == "model":
-        return generate(spec["model"], spec["n"], spec["seed"], dz=spec.get("dz"), d=spec.get("d"),
-                        rho=spec.get("rho"), dependent=spec.get("dependent"))[0]
-    if spec["kind"] == "csv":
-        by_dims = spec.get("dims") is not None
-        # a column mapping spec holds the ColumnMapping fields
-        mapping = ColumnMapping.from_dims(spec["dims"]) if by_dims else ColumnMapping(**spec["mapping"])
-        loaded = load_csv(spec["path"], mapping, semicolon=spec["semicolon"], whole_header=by_dims)
-        log.info(
-            "loaded %s: %d rows kept, %d dropped", spec["path"], loaded.kept_rows, loaded.dropped_rows
-        )
-        return loaded.samples
-    raise ValueError(f"unknown dataset kind {spec['kind']!r}")
+    """The samples of a dataset ``spec``: ``generate`` or :func:`csv_dataset`,
+    as its ``kind`` says, called with its other keys as keyword arguments."""
+    args = dict(spec)
+    kind = args.pop("kind", None)
+    if kind == "model":
+        return _call(generate, "dataset", args)[0]
+    if kind == "csv":
+        return _call(csv_dataset, "dataset", args)
+    raise ValueError(f"unknown dataset kind {kind!r}")
 
 
 def _write_json(path: str | None, doc: dict):
@@ -273,13 +275,15 @@ def _replay_config(path: str) -> dict:
     return run_config
 
 
-def _replayed(cls, run_config: dict, section: str, **overrides):
-    """``cls`` from the replayed ``run_config[section]``, less its retired
-    keys, and ``overrides``; a key that is no field of ``cls`` is a usage error."""
-    values = {key: v for key, v in run_config.get(section, {}).items() if (section, key) not in _RETIRED}
-    if unknown := sorted(set(values) - {f.name for f in dataclasses.fields(cls)}):
-        raise ValueError(f"unknown {section} keys {', '.join(unknown)}")
-    return cls(**{**values, **overrides})
+def _call(func, section: str, values: dict, **overrides):
+    """``func`` called with the keyword arguments ``values``, a ``section``
+    of a run configuration less its retired keys, and ``overrides``; a key
+    it does not take or lacks, or a value of another type, is a usage error."""
+    values = {key: v for key, v in values.items() if (section, key) not in _RETIRED}
+    try:
+        return func(**values | overrides)
+    except TypeError as exc:
+        raise ValueError(f"{section}: {exc}") from None
 
 
 def cmd_estimate(args) -> int:
@@ -291,20 +295,15 @@ def cmd_estimate(args) -> int:
         replayed = _replay_config(args.config)
         estimator, spec = replayed["estimator"], replayed["dataset"]
         # a replay writes the trace its own --trace asks for
-        cfg = _replayed(EstimatorConfig, replayed, "estimator_config", record_trace=args.trace is not None)
-        ksg_cfg = _replayed(KSGConfig, replayed, "ksg")
+        cfg = _call(EstimatorConfig, "estimator_config", replayed["estimator_config"],
+                    record_trace=args.trace is not None)
+        ksg_cfg = _call(KSGConfig, "ksg", replayed.get("ksg", {}))
     elif args.estimator is None:
         raise ValueError("--estimator is required unless --config is given")
     else:
         estimator, spec = args.estimator, _dataset_spec_from_args(args)
         cfg, ksg_cfg = _configs(args, args.trace is not None)
-    try:
-        samples = _load_dataset(spec)
-    except KeyError as exc:
-        # only a hand-edited replay config can lack a dataset field
-        raise ValueError(f"dataset spec lacks {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"ill-typed dataset spec: {exc}") from None
+    samples = _load_dataset(spec)
 
     start = time.monotonic()
     report = estimate(samples, estimator, cfg, jobs=args.jobs, ksg_config=ksg_cfg)
@@ -330,9 +329,7 @@ def _score_manifest(args, command: str, manifest: str, cfg: EstimatorConfig, ksg
     ``args.estimator`` under ``cfg`` and ``ksg_cfg`` and write the report."""
     base = os.path.dirname(os.path.abspath(manifest))
     entries = read_manifest(manifest)
-    datasets = [
-        (_load_dataset(_csv_spec(os.path.join(base, e.csv), list(e.dims))), e.label) for e in entries
-    ]
+    datasets = [(csv_dataset(os.path.join(base, e.csv), e.dims), e.label) for e in entries]
     run_config = _run_config(command, args.estimator, cfg, ksg_cfg,
                              manifest=os.path.abspath(manifest), threshold=args.threshold)
     start = time.monotonic()

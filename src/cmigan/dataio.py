@@ -1,11 +1,12 @@
 """CSV and JSON plumbing: sample matrices, model sidecars, benchmark manifests.
 
-CSV files are UTF-8 with a header row and '.' decimal points. An
-alternative dialect (semicolon separators with ',' decimals, as in the
-UCI air-quality export) is available behind a flag. The value -200 is
-treated as a missing-data sentinel, as are empty and non-numeric cells;
-rows containing any missing value in a mapped column are dropped and
-counted. Floats are written with 17 significant digits so a save/load
+CSV files are UTF-8 with a header row and '.' decimal points or, behind a
+flag, ';' separators and ',' decimals (the UCI air-quality export), whose
+commas become points before one parse serves both dialects: one numpy
+call where the body is well formed, else cell by cell, to the same bits.
+The value -200 is a missing-data sentinel, as are empty and non-numeric
+cells; rows containing any missing value in a mapped column are dropped
+and counted. Floats are written with 17 significant digits so a save/load
 round trip is bit-exact; the writer formats a block of rows per call and
 produces the bytes ``np.savetxt`` would.
 """
@@ -85,14 +86,9 @@ def _resolve(columns: list, header: list[str], path: str) -> list[int]:
     return out
 
 
-def _parse_cell(text: str, decimal_comma: bool) -> float | None:
-    text = text.strip()
-    if not text:
-        return None
-    if decimal_comma:
-        text = text.replace(",", ".")
+def _parse_cell(text: str) -> float | None:
     try:
-        value = float(text)
+        value = float(text.strip())
     except ValueError:
         return None
     if value == MISSING_SENTINEL or not np.isfinite(value):
@@ -100,7 +96,7 @@ def _parse_cell(text: str, decimal_comma: bool) -> float | None:
     return value
 
 
-def _parse_cells(reader, wanted: list[int], decimal_comma: bool) -> tuple[np.ndarray, int]:
+def _parse_cells(reader, wanted: list[int]) -> tuple[np.ndarray, int]:
     """(kept rows, source row count) of csv ``reader``'s rows, cell by cell."""
     rows = []
     source_rows = 0
@@ -110,45 +106,49 @@ def _parse_cells(reader, wanted: list[int], decimal_comma: bool) -> tuple[np.nda
         source_rows += 1
         if max(wanted) >= len(row):
             continue  # short row: counts as dropped
-        vals = [_parse_cell(row[i], decimal_comma) for i in wanted]
+        vals = [_parse_cell(row[i]) for i in wanted]
         if any(v is None for v in vals):
             continue
         rows.append(vals)
     return np.asarray(rows, dtype=np.float64), source_rows
 
 
-def _parse_comma_body(body: str, wanted: list[int]) -> tuple[np.ndarray, int]:
-    """(kept rows, source row count) of the comma-separated lines ``body``
-    in one numpy parse, equal bit for bit to :func:`_parse_cells`.
+def _parse_body(body: str, wanted: list[int], delimiter: str) -> tuple[np.ndarray, int]:
+    """(kept rows, source row count) of the ``delimiter``-separated lines
+    ``body`` in one numpy parse, equal bit for bit to :func:`_parse_cells`.
 
     Raises ValueError where the two could differ: a blank, short or
     non-numeric cell, a whitespace-only line, a lone carriage return, a
     body without rows, or a quote character (csv unquotes a cell and
-    keeps the commas inside it).
+    keeps the delimiters inside it).
     """
     if '"' in body or not body.strip():
         raise ValueError("quoted cells or no rows")
     data = np.loadtxt(
-        io.StringIO(body), delimiter=",", usecols=wanted, ndmin=2, comments=None, dtype=np.float64
+        io.StringIO(body), delimiter=delimiter, usecols=wanted, ndmin=2, comments=None, dtype=np.float64
     )
     keep = np.isfinite(data).all(axis=1) & (data != MISSING_SENTINEL).all(axis=1)
     return data[keep], len(data)
 
 
-def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False, whole_header: bool = False) -> LoadedCsv:
+def load_csv(path: str | os.PathLike, mapping: ColumnMapping, semicolon: bool = False,
+             whole_header: bool = False) -> LoadedCsv:
     """Read a header-ed CSV into a SampleSet with columns [x|y|z].
 
+    ``path`` is a string or an ``os.PathLike``, never a file descriptor.
     ``semicolon=True`` switches to ';' separators with ',' decimals.
     ``whole_header=True`` requires the mapping, a ``--dims`` split, to
     name as many columns as the header has.
     Rows with any missing mapped cell (empty, non-numeric, the -200
     sentinel, or non-finite) are dropped and counted; the rest keep the
     file's order.
-    A well-formed comma file is parsed in one numpy call; any other file
-    falls back to parsing cell by cell, with the same result.
+    Either dialect's body is parsed in one numpy call where it is well
+    formed, and cell by cell otherwise, with the same result.
     A malformed quote or an over-long cell is a DataError naming its line.
     """
-    typed_value("semicolon", "bool", semicolon)
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"path must be a string or os.PathLike, got {path!r}")
+    delimiter = ";" if typed_value("semicolon", "bool", semicolon) else ","
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
     if os.path.getsize(path) > MAX_CSV_BYTES:
@@ -156,7 +156,7 @@ def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False, whole_h
     header_lines = 0  # lines read before ``reader``'s first, for error messages
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, delimiter=";" if semicolon else ",", strict=True)
+            reader = csv.reader(fh, delimiter=delimiter, strict=True)
             try:
                 header = next(reader)
             except StopIteration:
@@ -170,16 +170,14 @@ def load_csv(path: str, mapping: ColumnMapping, semicolon: bool = False, whole_h
                 for cols in (mapping.x_cols, mapping.y_cols, mapping.z_cols)
             ]
             wanted = idx[0] + idx[1] + idx[2]
-            if semicolon:
-                data, source_rows = _parse_cells(reader, wanted, decimal_comma=True)
-            else:
-                body = fh.read()
-                try:
-                    data, source_rows = _parse_comma_body(body, wanted)
-                except ValueError:
-                    header_lines = reader.line_num
-                    reader = csv.reader(io.StringIO(body, newline=""), strict=True)
-                    data, source_rows = _parse_cells(reader, wanted, decimal_comma=False)
+            # in the semicolon dialect a ',' separates nothing, so each is a decimal point
+            body = fh.read().replace(",", ".") if semicolon else fh.read()
+            try:
+                data, source_rows = _parse_body(body, wanted, delimiter)
+            except ValueError:
+                header_lines = reader.line_num
+                reader = csv.reader(io.StringIO(body, newline=""), delimiter=delimiter, strict=True)
+                data, source_rows = _parse_cells(reader, wanted)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not valid UTF-8: {exc}") from None
     except csv.Error as exc:

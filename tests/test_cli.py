@@ -87,6 +87,8 @@ _ILL_TYPED_REPLAYS = [
     ("dataset-dims-true", _replay_doc(dataset={**_CSV_MAPPING_SPEC, "dims": [True, 1, 1], "mapping": None}),
      "dims"),
     ("dataset-rho-string", _replay_doc(dataset={**_GAUSS_MODEL, "rho": "0.5"}), "rho"),
+    # 0 would read the CSV from stdin, a file descriptor
+    ("dataset-path-0", _replay_doc(dataset={**_CSV_MAPPING_SPEC, "path": 0}), "path"),
 ]
 # values whose replay exits 2 without the type check too, but not with
 # the error "<key> must be ..."
@@ -882,6 +884,9 @@ _FILES = {
         "estimator_config": {},
     }),
     "replay-non-object.json": json.dumps({"run_config": [1]}),
+    # a dataset key that generate does not take, a misspelt dz
+    "replay-Dz.json": json.dumps({"estimator": "ksg", "estimator_config": {}, "dataset": {
+        "kind": "model", "model": "linear1", "n": 300, "seed": 0, "Dz": 3}}),
     # a CSV spec split by two dims; the file is never read
     "replay-two-dims.json": json.dumps({
         "command": "estimate", "estimator": "ksg", "estimator_config": {}, "dataset": {
@@ -980,6 +985,12 @@ _EXIT_CODES = [
     # a bad --dims value is a usage error, bad manifest dims a data error
     ("dims-negative-dz", [*_KSG_ON_CSV[:-1], "1,1,-1"], None, EXIT_USAGE, _BAD_DIMS + "[1, 1, -1]"),
     ("dims-zero-dx", [*_KSG_ON_CSV[:-1], "0,1,1"], None, EXIT_USAGE, _BAD_DIMS + "[0, 1, 1]"),
+    # an empty part is no integer, not one to drop
+    ("dims-empty-part", [*_KSG_ON_CSV[:-1], "1,,1,1"],
+     None, EXIT_USAGE, "expected comma-separated integers, got '1,,1,1'"),
+    ("reg-hidden-empty-part", [*_CMIGAN_ON_MODEL, "--steps", "1", "--batch-size", "16", "--eval-passes", "1",
+                               "--jobs", "1", "--reg-hidden", "8,,4"],
+     None, EXIT_USAGE, "expected comma-separated integers, got '8,,4'"),
     ("manifest-two-dims", ["citest", "--manifest", "{tmp}/two-dims-manifest.json", "--estimator", "ksg"],
      None, EXIT_DATA, "malformed dataset entry 0: " + _BAD_DIMS + "[1, 1]"),
     ("manifest-numeric-csv",
@@ -1052,6 +1063,8 @@ _EXIT_CODES = [
      None, EXIT_USAGE, "replay-non-object.json: run_config must be a JSON object"),
     ("replay-two-dims", ["estimate", "--config", "{tmp}/replay-two-dims.json"],
      None, EXIT_USAGE, _BAD_DIMS + "[1, 1]"),
+    ("replay-unknown-dataset-key", ["estimate", "--config", "{tmp}/replay-Dz.json"],
+     None, EXIT_USAGE, "unexpected keyword argument 'Dz'"),
     ("replay-shuffled-csv", ["estimate", "--config", "{tmp}/replay-shuffled.json"],
      None, EXIT_USAGE, "dataset shuffle_seed=3 is no longer supported"),
 ]

@@ -14,8 +14,8 @@ from cmigan.dataio import (
     ColumnMapping,
     DataError,
     ManifestEntry,
+    _parse_body,
     _parse_cells,
-    _parse_comma_body,
     default_headers,
     load_csv,
     read_manifest,
@@ -308,29 +308,40 @@ def test_seventeen_digit_precision(tmp_path):
     assert np.array_equal(loaded.samples.data, data)
 
 
-def _check_parsers_agree(tmp_path, body: str, wanted: list, line_end: str = "\r\n") -> bool:
+def _check_parsers_agree(tmp_path, body: str, wanted: list, line_end: str = "\r\n",
+                         semicolon: bool = False) -> bool:
     """Assert that the one-call numpy parse of ``body``, where it accepts
     it, and load_csv of a file "a,b,c,d" + ``body`` both give the per-cell
     parser's data bits and row counts. Where the strict csv reader that
     load_csv uses rejects ``body``, assert that numpy declines it and
     that load_csv raises the reader's error as a DataError naming the
-    line. Returns whether numpy accepted."""
+    line. Returns whether numpy accepted.
+
+    With ``semicolon``, the file is first written in that dialect, each
+    ',' a ';' and each '.' a ','. The per-cell parser then reads each
+    cell's ',' as a decimal point, so the check also shows that load_csv,
+    which turns every ',' of the body into a '.' before either parse,
+    reads each cell the same way."""
+    delimiter = ";" if semicolon else ","
+    points = str.maketrans(",", ".") if semicolon else {}
+    if semicolon:
+        body = body.translate(str.maketrans(",.", ";,"))
     path = tmp_path / "parity.csv"
-    path.write_bytes(("a,b,c,d" + line_end + body).encode("utf-8"))
+    path.write_bytes(("a,b,c,d".replace(",", delimiter) + line_end + body).encode("utf-8"))
     mapping = ColumnMapping(x_cols=wanted[:1], y_cols=wanted[1:2], z_cols=wanted[2:])
-    reader = csv.reader(io.StringIO(body, newline=""), strict=True)
+    reader = csv.reader(io.StringIO(body, newline=""), delimiter=delimiter, strict=True)
     try:
-        cells, source = _parse_cells(reader, wanted, False)
+        cells, source = _parse_cells(([cell.translate(points) for cell in row] for row in reader), wanted)
     except csv.Error as exc:
         with pytest.raises(ValueError):
-            _parse_comma_body(body, wanted)
+            _parse_body(body.translate(points), wanted, delimiter)
         # the header is line 1
         with pytest.raises(DataError, match=re.escape(f": line {1 + reader.line_num}: {exc}")):
-            load_csv(str(path), mapping)
+            load_csv(str(path), mapping, semicolon=semicolon)
         return False
     cells = cells.reshape(-1, len(wanted))
     try:
-        fast, fast_source = _parse_comma_body(body, wanted)
+        fast, fast_source = _parse_body(body.translate(points), wanted, delimiter)
     except ValueError:
         fast = None
     else:
@@ -339,9 +350,9 @@ def _check_parsers_agree(tmp_path, body: str, wanted: list, line_end: str = "\r\
         assert np.array_equal(fast.view(np.int64), cells.view(np.int64))
     if not len(cells):
         with pytest.raises(DataError, match="no usable rows"):
-            load_csv(str(path), mapping)
+            load_csv(str(path), mapping, semicolon=semicolon)
     else:
-        loaded = load_csv(str(path), mapping)
+        loaded = load_csv(str(path), mapping, semicolon=semicolon)
         assert loaded.samples.data.shape == cells.shape
         assert np.array_equal(loaded.samples.data.view(np.int64), cells.view(np.int64))
         counts = (loaded.kept_rows, loaded.dropped_rows, loaded.source_rows)
@@ -350,7 +361,7 @@ def _check_parsers_agree(tmp_path, body: str, wanted: list, line_end: str = "\r\
 
 
 # each case: an id, the lines after the header, the mapped columns, and
-# whether the numpy parse accepts the lines
+# whether the numpy parse accepts the lines, in either dialect
 _PARSE_CASES = [
     ("float17", "-0,4.9406564584124654e-324,10000000000000000\r\n"
                 "0.10000000000000001,-2.5,1.7976931348623157e+308\r\n", [0, 1, 2], True),
@@ -383,10 +394,12 @@ _PARSE_CASES = [
 
 
 @pytest.mark.parametrize(
-    "body, wanted, fast", [case[1:] for case in _PARSE_CASES], ids=[case[0] for case in _PARSE_CASES]
+    "body, wanted, fast, semicolon",
+    [(*case[1:], semicolon) for semicolon in (False, True) for case in _PARSE_CASES],
+    ids=[case[0] + suffix for suffix in ("", "-semicolon") for case in _PARSE_CASES],
 )
-def test_numpy_and_cell_parsers_agree(tmp_path, body, wanted, fast):
-    assert _check_parsers_agree(tmp_path, body, wanted) == fast
+def test_numpy_and_cell_parsers_agree(tmp_path, body, wanted, fast, semicolon):
+    assert _check_parsers_agree(tmp_path, body, wanted, semicolon=semicolon) == fast
 
 
 _NUMBER = st.floats().map(lambda v: "%.17g" % v)
@@ -422,9 +435,10 @@ _LINE_END = st.sampled_from(["\n", "\r\n"])
     lines=st.lists(st.tuples(_LINE, _LINE_END), max_size=8),
     wanted=st.sampled_from([[0, 1], [0, 1, 2], [2, 3], [3, 1], [2, 0, 2], [0, 1, 2, 3]]),
     line_end=_LINE_END,
+    semicolon=st.booleans(),
 )
-def test_numpy_and_cell_parsers_agree_on_generated_files(tmp_path, lines, wanted, line_end):
-    _check_parsers_agree(tmp_path, "".join(line + end for line, end in lines), wanted, line_end)
+def test_numpy_and_cell_parsers_agree_on_generated_files(tmp_path, lines, wanted, line_end, semicolon):
+    _check_parsers_agree(tmp_path, "".join(line + end for line, end in lines), wanted, line_end, semicolon)
 
 
 def test_column_mapping_rejects_a_string_block():

@@ -638,6 +638,8 @@ _ILL_TYPED_CALLS = [
     # checked before the file, which no test writes, is opened
     ("load-csv-string-semicolon",
      lambda: load_csv("never-written.csv", ColumnMapping.from_dims((1, 1, 1)), semicolon="no"), "semicolon"),
+    # a file descriptor: 0 would read stdin
+    ("load-csv-int-path", lambda: load_csv(0, ColumnMapping.from_dims((1, 1, 1))), "path"),
     ("mapping-two-dims", lambda: ColumnMapping.from_dims((1, 1)), "dims"),
     ("mapping-negative-dz", lambda: ColumnMapping.from_dims((1, 1, -1)), "dims"),
     ("model-params-fractional-n", lambda: ModelParams.from_dict(
