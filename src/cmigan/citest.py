@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .estimators import EstimatorConfig, _parallel_map, estimate
+from .estimators import EstimatorConfig, _prepare, _run_many, estimate
 from .knn import KSGConfig
 from .neuralnet import typed_value
 
@@ -91,12 +91,6 @@ class CITBenchReport:
         }
 
 
-def _score(samples, estimator: str, cfg: EstimatorConfig, ksg_config: KSGConfig | None):
-    """(score, None) for one dataset, or (None, error) when all its runs fail."""
-    rep = estimate(samples, estimator, cfg, jobs=1, ksg_config=ksg_config)
-    return (None, "all runs failed") if rep.all_failed else (rep.mean, None)
-
-
 def run_cit_benchmark(
     datasets,
     estimator: str,
@@ -119,9 +113,9 @@ def run_cit_benchmark(
     ids : sequence of str, optional
         Names for report entries; defaults to ds000, ds001, ...
     jobs : int, optional
-        Worker processes, one BLAS thread each, that score whole
-        datasets, as in :func:`cmigan.estimators.estimate`; the default
-        None means the usable CPUs. ``ksg`` always runs in process.
+        Worker processes, one BLAS thread each, over one task list of
+        every dataset's runs, made once every dataset is checked; None
+        means the usable CPUs. ``ksg`` always runs in process.
 
     Datasets whose estimate fails (all runs diverged) are reported,
     marked excluded, and left out of the AuROC.
@@ -139,21 +133,20 @@ def run_cit_benchmark(
     for name, (_, label) in zip(ids, datasets):
         if label not in ("CI", "CD"):
             raise ValueError(f"label for {name} must be 'CI' or 'CD', got {label!r}")
-    # KSG's tree queries already use every core, so its datasets stay here
-    workers = 1 if estimator == "ksg" else jobs
-    tasks = [(samples, estimator, cfg, ksg_config) for samples, _ in datasets]
-    outcomes = _parallel_map(_score, tasks, workers)
+    if estimator == "ksg":
+        # KSG's tree queries already use every core, so its datasets stay here
+        reports = [estimate(samples, estimator, cfg, ksg_config=ksg_config) for samples, _ in datasets]
+    else:
+        reports = _run_many(estimator, [_prepare(estimator, s, cfg) for s, _ in datasets], cfg, jobs)
 
     report = CITBenchReport(estimator=estimator, threshold=threshold)
-    scores, labels = [], []
-    for name, (_, label), (score, error) in zip(ids, datasets, outcomes):
-        if error is not None:
-            report.entries.append(CITEntry(name, label, None, None, failed=True, error=error))
-            continue
-        report.entries.append(CITEntry(name, label, score=score, decision=ci_decide(score, threshold)))
-        scores.append(score)
-        labels.append(1 if label == "CD" else 0)
-
-    if scores and 0 < sum(labels) < len(labels):
-        report.auroc = auroc(np.asarray(scores), np.asarray(labels))
+    for name, (_, label), rep in zip(ids, datasets, reports):
+        if rep.all_failed:
+            report.entries.append(CITEntry(name, label, None, None, failed=True, error="all runs failed"))
+        else:
+            report.entries.append(CITEntry(name, label, rep.mean, ci_decide(rep.mean, threshold)))
+    kept = [e for e in report.entries if not e.failed]
+    labels = [int(e.label == "CD") for e in kept]
+    if kept and 0 < sum(labels) < len(labels):
+        report.auroc = auroc(np.asarray([e.score for e in kept]), np.asarray(labels))
     return report

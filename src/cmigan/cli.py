@@ -376,8 +376,8 @@ def _write_suite(outdir: str, suite: list) -> str:
 
 
 def cmd_bench(args) -> int:
-    # the estimator flags, the suite and, when it is scored, the rows the
-    # estimator needs against --n are checked before --outdir is made
+    # the flags, the suite and, when it is scored, whether the estimator can score
+    # it (every dataset has one n and dz) are checked before --outdir is made
     cfg, ksg_cfg = _configs(args)
     if min(args.n_ci, args.n_cd) < 0 or args.n_ci + args.n_cd == 0:
         raise ValueError("--n-ci and --n-cd must be non-negative and not both 0")
@@ -388,7 +388,7 @@ def cmd_bench(args) -> int:
     if args.generate_only:
         _write_json(None, {"manifest": _write_suite(args.outdir, suite), "datasets": len(suite)})
         return EXIT_OK
-    check_rows(args.estimator, args.n, cfg, ksg_cfg)
+    check_rows(args.estimator, suite[0][0], cfg, ksg_cfg)
     return _score_manifest(args, "bench", _write_suite(args.outdir, suite), cfg, ksg_cfg)
 
 
@@ -406,8 +406,8 @@ def _add_estimator_flags(p: argparse.ArgumentParser):
                    help="skip per-column z-scoring")
     p.add_argument("--k", type=int, default=None, help="kNN order for the ksg estimator (default: 5)")
     p.add_argument("--jobs", type=_jobs, default=None,
-                   help="worker processes, one BLAS thread each, over network runs (estimate) "
-                        "or datasets (citest, bench); default: the usable CPUs")
+                   help="worker processes, one BLAS thread each, over the network runs "
+                        "(of every dataset, for citest and bench); default: the usable CPUs")
     p.add_argument("--out", "-o", default=None, metavar="JSON", help="write the report here")
 
 

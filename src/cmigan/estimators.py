@@ -235,20 +235,6 @@ class EstimateReport:
         return dataclasses.asdict(self)
 
 
-def check_rows(estimator: str, n: int, cfg: EstimatorConfig, ksg_config: KSGConfig | None = None):
-    """Raise ``ValueError`` unless ``n`` rows are enough for ``estimator``:
-    more than k+1 for ``ksg``, one batch for a network id (which warns
-    below two)."""
-    if estimator == "ksg":
-        k = (ksg_config or KSGConfig()).k
-        if n <= k + 1:
-            raise ValueError(f"need more than k+1={k + 1} samples, got {n}")
-    elif cfg.batch_size > n:
-        raise ValueError(f"batch_size {cfg.batch_size} exceeds sample count {n}")
-    elif n < 2 * cfg.batch_size:
-        log.warning("n=%d is below the recommended 2*batch_size=%d", n, 2 * cfg.batch_size)
-
-
 def _finite(value, what: str, step: int):
     """``value`` (a loss or a score array) if it is all finite. A wild
     learning rate can overflow the forward pass while the parameters are
@@ -298,6 +284,32 @@ _NEEDS_Z = {
 }
 
 ESTIMATOR_IDS = tuple(_NEEDS_Z)
+
+
+def check_rows(estimator: str, samples: SampleSet, cfg: EstimatorConfig, ksg_config: KSGConfig | None = None):
+    """Raise ``ValueError`` unless ``estimator`` is a known id whose dz rule
+    ``samples`` meet, with enough rows: more than k+1 for ``ksg``, one
+    batch for a network id (which warns below two)."""
+    if estimator not in ESTIMATOR_IDS:
+        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_IDS}")
+    needs_z, n = _NEEDS_Z[estimator], samples.n
+    if needs_z is not None and (samples.dz >= 1) != needs_z:
+        rule = "dz >= 1" if needs_z else "dz == 0"
+        raise ValueError(f"{estimator} needs data with {rule}, got dz={samples.dz}")
+    if estimator == "ksg":
+        k = (ksg_config or KSGConfig()).k
+        if n <= k + 1:
+            raise ValueError(f"need more than k+1={k + 1} samples, got {n}")
+    elif cfg.batch_size > n:
+        raise ValueError(f"batch_size {cfg.batch_size} exceeds sample count {n}")
+    elif n < 2 * cfg.batch_size:
+        log.warning("n=%d is below the recommended 2*batch_size=%d", n, 2 * cfg.batch_size)
+
+
+def _prepare(estimator: str, samples: SampleSet, cfg: EstimatorConfig, ksg_config: KSGConfig | None = None):
+    """``samples`` once :func:`check_rows` passes them, z-scored if ``cfg.standardize``."""
+    check_rows(estimator, samples, cfg, ksg_config)
+    return samples.standardized() if cfg.standardize else samples
 
 
 def _total(terms: list):
@@ -541,50 +553,51 @@ def _single_run(kind: str, data, dims, cfg: EstimatorConfig, run_index: int):
     return result
 
 
-def _run_many(estimator: str, s: SampleSet, cfg: EstimatorConfig, jobs: int | None) -> EstimateReport:
-    """The runs of a network id, every term's in one task list.
+def _run_many(estimator: str, sets: list[SampleSet], cfg: EstimatorConfig, jobs: int | None) -> list:
+    """A report per prepared set in ``sets``: a network id's runs, all in one task list.
 
-    A network id is one term: its own game on ``s``. ``midiff-fmine`` is
+    A network id is one term: its own game on a set. ``midiff-fmine`` is
     ``I(X;(Y,Z)) - I(X;Z)``, two ``fmine`` terms: ``full`` and
     ``marginal``, which enters with sign -1. Run r of every term uses
     seed ``seed + r``, so the terms of a run share their initialization
     and batching noise, and a run failing in any term drops the run.
     """
-    dx, dy, dz = s.dims
-    # term name -> (kind, data, dims, sign); a lone term's name is None
-    if estimator == "midiff-fmine":
-        terms = {
-            "full": ("fmine", s.data, (dx, dy + dz, 0), 1),
-            "marginal": ("fmine", np.hstack([s.x, s.z]), (dx, dz, 0), -1),
-        }
-    else:
-        terms = {None: (estimator, s.data, s.dims, 1)}
+    # term name -> (kind, data, dims, sign) of each set; a lone term's name is None
+    terms_by_set = [
+        {"full": ("fmine", s.data, (s.dx, s.dy + s.dz, 0), 1),
+         "marginal": ("fmine", np.hstack([s.x, s.z]), (s.dx, s.dz, 0), -1)}
+        if estimator == "midiff-fmine" else {None: (estimator, s.data, s.dims, 1)}
+        for s in sets
+    ]
     tasks = [
         (kind, np.ascontiguousarray(data), dims, cfg, r)
+        for terms in terms_by_set
         for kind, data, dims, _ in terms.values()
         for r in range(cfg.runs)
     ]
-    results = _parallel_map(_single_run, tasks, jobs)
-    by_term = [results[i * cfg.runs : (i + 1) * cfg.runs] for i in range(len(terms))]
-
-    failures = [failure for chunk in by_term for _, _, failure in chunk if failure is not None]
-    failed = {failure["run"] for failure in failures}
-    signs = [sign for *_, sign in terms.values()]
-    per_run = [
-        _total([sign * chunk[r][0] for sign, chunk in zip(signs, by_term)])
-        for r in range(cfg.runs)
-        if r not in failed
-    ]
+    results = iter(_parallel_map(_single_run, tasks, jobs))
     sched = cfg.schedule()
-    diagnostics = {}
-    for name, chunk in zip(terms, by_term):
-        run_diags = [diag for _, diag, failure in chunk if failure is None]
-        diagnostics[name] = {
-            "runs": run_diags,
-            "lr": {"first": lr_at(0, sched), "last": lr_at(cfg.training_steps - 1, sched)},
-            "clamp_warnings": sum(d.get("clamp_warnings", 0) for d in run_diags),
-        }
-    return _report(estimator, per_run, failures, diagnostics if len(terms) > 1 else diagnostics[None])
+    reports = []
+    for terms in terms_by_set:
+        by_term = [[next(results) for _ in range(cfg.runs)] for _ in terms]
+        failures = [failure for chunk in by_term for _, _, failure in chunk if failure is not None]
+        failed = {failure["run"] for failure in failures}
+        signs = [sign for *_, sign in terms.values()]
+        per_run = [
+            _total([sign * chunk[r][0] for sign, chunk in zip(signs, by_term)])
+            for r in range(cfg.runs)
+            if r not in failed
+        ]
+        diagnostics = {}
+        for name, chunk in zip(terms, by_term):
+            run_diags = [diag for _, diag, failure in chunk if failure is None]
+            diagnostics[name] = {
+                "runs": run_diags,
+                "lr": {"first": lr_at(0, sched), "last": lr_at(cfg.training_steps - 1, sched)},
+                "clamp_warnings": sum(d.get("clamp_warnings", 0) for d in run_diags),
+            }
+        reports.append(_report(estimator, per_run, failures, diagnostics if len(terms) > 1 else diagnostics[None]))
+    return reports
 
 
 def _report(estimator: str, per_run: list[float], failures: list[dict], diagnostics: dict):
@@ -650,22 +663,15 @@ def estimate(
     here, once, before any estimator sees the data.
 
     ``jobs`` worker processes, one BLAS thread each, train the runs of a
-    network id, both terms' runs for ``midiff-fmine`` (None: the CPUs
-    this process may use; any other value must be an int of at least 1),
-    and the report does not depend on it. A lone run or a call from a
-    daemonic process runs in process, and KSG threads its own tree
-    queries and ignores ``jobs``.
+    network id from one task list, which holds both terms' runs for
+    ``midiff-fmine`` and, in :mod:`cmigan.citest`, a collection's runs
+    (None: the CPUs this process may use; else an int of at least 1). The
+    report does not depend on it. A lone run or a daemonic caller runs in
+    process, and KSG threads its own tree queries and ignores ``jobs``.
     """
     typed_value("jobs", "int | None", jobs)
-    if estimator not in ESTIMATOR_IDS:
-        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_IDS}")
-    needs_z = _NEEDS_Z[estimator]
-    if needs_z is not None and (samples.dz >= 1) != needs_z:
-        rule = "dz >= 1" if needs_z else "dz == 0"
-        raise ValueError(f"{estimator} needs data with {rule}, got dz={samples.dz}")
     cfg = config or EstimatorConfig()
-    check_rows(estimator, samples.n, cfg, ksg_config)
-    s = samples.standardized() if cfg.standardize else samples
+    s = _prepare(estimator, samples, cfg, ksg_config)
     if estimator == "ksg":
         return _ksg_estimate(s, ksg_config)
-    return _run_many(estimator, s, cfg, jobs)
+    return _run_many(estimator, [s], cfg, jobs)[0]

@@ -321,6 +321,39 @@ class TestParallel:
         run_cit_benchmark(datasets, "cmigan", cfg, jobs=2)
         assert _blas_threads() == before
 
+    def test_every_dataset_is_checked_before_any_run_trains(self, monkeypatch):
+        calls = []
+        train_run = estimators._train_run
+
+        def counted_train_run(*args, **kwargs):
+            calls.append(args[0])
+            return train_run(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_train_run", counted_train_run)
+        good, _, _ = gen_cit(200, 1, False, seed=10)
+        too_few, _, _ = gen_cit(30, 1, True, seed=20)
+        with pytest.raises(ValueError, match="batch_size 64 exceeds sample count 30"):
+            run_cit_benchmark([(good, "CI"), (too_few, "CD")], "cmigan", TINY, jobs=1)
+        assert calls == []
+
+    def test_one_datasets_runs_share_the_pool_bitwise(self, monkeypatch):
+        if not estimators._blas_thread_setters():
+            pytest.skip("no OpenBLAS thread setter: every run stays in process")
+        datasets, cfg = _parallel_suite("tiny")
+        datasets, cfg = datasets[:1], dataclasses.replace(cfg, runs=2)
+        serial = run_cit_benchmark(datasets, "cmigan", cfg, jobs=1)
+        pools = []
+        pool_class = estimators.ProcessPoolExecutor
+
+        def counted_pool(*args, **kwargs):
+            pools.append(args)
+            return pool_class(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "ProcessPoolExecutor", counted_pool)
+        parallel = run_cit_benchmark(datasets, "cmigan", cfg, jobs=2)
+        assert len(pools) == 1
+        assert hex_floats(parallel.to_dict()) == hex_floats(serial.to_dict())
+
     def test_no_blas_setter_runs_serially_bitwise(self, monkeypatch):
         datasets, cfg = _parallel_suite("tiny")
         serial = run_cit_benchmark(datasets, "cmigan", cfg, jobs=1)

@@ -1013,6 +1013,9 @@ _EXIT_CODES = [
                             "--reg-hidden", "0"],
      None, EXIT_USAGE, "reg_hidden widths must be positive integers, got (0,)"),
     # and the rows each estimator needs against --n
+    ("bench-migan", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--estimator", "migan",
+                     "--batch-size", "64", "--steps", "2"],
+     None, EXIT_USAGE, "migan needs data with dz == 0, got dz=1"),
     ("bench-batch-over-n", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--estimator", "cmigan",
                             "--batch-size", "4096"],
      None, EXIT_USAGE, "batch_size 4096 exceeds sample count 100"),
