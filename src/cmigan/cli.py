@@ -210,11 +210,12 @@ def _labelled_runs(report_dict: dict, seed: int) -> list:
 
 
 def _write_trace(path: str, report_dict: dict, seed: int):
+    """Move each run's bulky trace rows from ``report_dict`` to the CSV ``path``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "step", "reg_loss", "gen_loss"])
         for label, run in _labelled_runs(report_dict, seed):
-            for step, reg, gen in run.get("trace", []):
+            for step, reg, gen in run.pop("trace", []):
                 writer.writerow([label, step, format(reg, ".17g"), format(gen, ".17g")])
     log.info("wrote %s", path)
 
@@ -313,9 +314,6 @@ def cmd_estimate(args) -> int:
     report_dict = report.to_dict()
     if args.trace is not None:
         _write_trace(args.trace, report_dict, cfg.seed)
-    # traces are bulky and already in the CSV; keep the JSON lean
-    for _, run in _labelled_runs(report_dict, cfg.seed):
-        run.pop("trace", None)
     run_config = _run_config("estimate", estimator, cfg, ksg_cfg, dataset=spec)
     _write_report(args.out, run_config, report_dict, wall)
     if report.all_failed:

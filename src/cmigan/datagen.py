@@ -53,8 +53,7 @@ RNG_NAME = "numpy-default_rng-PCG64"
 def _stream(n: int, size: int, size_name: str, seed: int) -> np.random.Generator:
     """The PCG64 stream of a draw of ``n`` rows whose block size is ``size``."""
     typed_value("n", "int", n)
-    if typed_value(size_name, "int", size, min=None) < 1:
-        raise ValueError(f"{size_name} must be >= 1")
+    typed_value(size_name, "int", size)
     return np.random.default_rng(typed_value("seed", "int", seed, min=0))
 
 

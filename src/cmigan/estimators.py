@@ -204,10 +204,6 @@ class EstimatorConfig:
         d["gen_hidden"] = list(self.gen_hidden)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EstimatorConfig":
-        return cls(**d)
-
 
 @dataclass
 class EstimateReport:
@@ -465,34 +461,28 @@ def _train_run(
         if trace is not None:
             trace.append((step, _total(losses), l_gen))
 
-    starts = range(0, n, b)
-    joint_full = [np.empty(n) for _ in critics]
-    for start in starts:
-        rows = data[start : start + b]
-        for critic, (blocks, _), s in zip(critics, critic_table, joint_full):
-            joint_in = joint(rows, blocks, critic.inputs)
-            s_joint = mlp_forward(critic.params, joint_in, buffers=critic.buffers)
-            s[start : start + len(rows)] = s_joint.ravel()
-    for s in joint_full:
-        _finite(s, "joint scores", last)
+    def scores(what: str, picks: np.ndarray | None = None) -> list:
+        """Every critic's ``what``, checked finite, on the n rows in blocks
+        of ``b``: joint scores, or, given a pass's ``picks``, product
+        scores of the rows with their swapped block drawn from ``picks``."""
+        out = [np.empty(n) for _ in critics]
+        for start in range(0, n, b):
+            rows = data[start : start + b]
+            # the joint sample is the product sample that swaps in the rows' own block
+            swapped = rows[:, span[swap]] if picks is None else swapped_block(rows, picks[start : start + b], data)
+            for critic, (blocks, _), s in zip(critics, critic_table, out):
+                inputs = product(rows, swapped, blocks, critic.inputs)
+                s[start : start + len(rows)] = mlp_forward(critic.params, inputs, buffers=critic.buffers).ravel()
+        return [_finite(s, what, last) for s in out]
+
+    joint_scores = scores("joint scores")
     objective = fdiv_objective if gen is None else dv_objective
     eval_noise = None if gen is None else np.empty((n, d_noise))
-    prod_full = [np.empty(n) for _ in critics]
     eval_values = []
     for _ in range(cfg.eval_passes):
-        picks = draw(n, eval_noise)
-        for start in starts:
-            rows = data[start : start + b]
-            swapped = swapped_block(rows, picks[start : start + len(rows)], data)
-            for critic, (blocks, _), s in zip(critics, critic_table, prod_full):
-                prod_in = product(rows, swapped, blocks, critic.inputs)
-                s_prod = mlp_forward(critic.params, prod_in, buffers=critic.buffers)
-                s[start : start + len(rows)] = s_prod.ravel()
-        values = []
-        for sign, s_joint, s_prod in zip(signs, joint_full, prod_full):
-            _finite(s_prod, "product scores", last)
-            values.append(sign * objective(ScorePair(s_joint, s_prod)))
-        eval_values.append(_total(values))
+        prod_scores = scores("product scores", draw(n, eval_noise))
+        eval_values.append(_total([sign * objective(ScorePair(s_joint, s_prod))
+                                   for sign, s_joint, s_prod in zip(signs, joint_scores, prod_scores)]))
     estimate = _finite(float(np.mean(eval_values)), "final estimate", last)
 
     diag = {"seed": seed, "final_reg_loss": _total(losses)}
@@ -501,9 +491,9 @@ def _train_run(
     diag["last_batch_estimate"] = _total([-sign * loss for sign, loss in zip(signs, losses)])
     if gen is None:
         diag["clamp_warnings"] = clamp_hits
-    diag["eval_values"] = [float(v) for v in eval_values]
+    diag["eval_values"] = eval_values
     if trace is not None:
-        diag["trace"] = [(int(s), float(a), float(g)) for s, a, g in trace]
+        diag["trace"] = trace
     return estimate, diag
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neuralnet import is_integer
+from .neuralnet import check_fields
 
 # fraction of the estimator's ceiling psi(n) - psi(k) above which the
 # estimate is flagged as saturated (near-deterministic relation)
@@ -74,9 +74,7 @@ class KSGConfig:
     k: int = 5
 
     def __post_init__(self):
-        if not (is_integer(self.k) and self.k >= 1):
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
+        check_fields(self)
 
 
 @dataclass

@@ -385,8 +385,7 @@ def rmsprop_update(params: MLPParams, grads: MLPGrads, state: RMSPropState, lr: 
     NumericalError
         If any updated parameter is non-finite.
     """
-    if lr <= 0 or not math.isfinite(lr):
-        raise ValueError(f"learning rate must be positive and finite, got {lr}")
+    typed_value("learning rate", "float", lr, above=0)
     ps = params.weights + params.biases
     for p, g, acc in zip(ps, grads.weights + grads.biases, state.sq_weights + state.sq_biases):
         t = np.multiply(g, 1.0 - RMSPROP_RHO)

@@ -922,7 +922,7 @@ _EXIT_CODES = [
      None, EXIT_USAGE, _NEGATIVE_SEED),
     ("shuffle-seed-is-gone", [*_KSG_ON_CSV, "--shuffle-seed", "3"],
      None, EXIT_USAGE, "unrecognized arguments: --shuffle-seed 3"),
-    ("ksg-k-0", [*_KSG_ON_MODEL, "--k", "0"], None, EXIT_USAGE, "k must be a positive integer"),
+    ("ksg-k-0", [*_KSG_ON_MODEL, "--k", "0"], None, EXIT_USAGE, "k must be positive"),
     ("runs-0", [*_CMIGAN_ON_MODEL, "--runs", "0"], None, EXIT_USAGE, "runs must be positive"),
     ("lr-decay-1", [*_CMIGAN_ON_MODEL, "--lr-decay", "1"],
      None, EXIT_USAGE, "lr_decay_factor must be finite and exceed 1, got 1.0"),
@@ -962,7 +962,7 @@ _EXIT_CODES = [
     ("bench-n-0", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--n", "0"],
      None, EXIT_USAGE, "n must be positive"),
     ("bench-dz-0", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--dz", "0"],
-     None, EXIT_USAGE, "dz must be >= 1"),
+     None, EXIT_USAGE, "dz must be positive"),
     ("datagen-dependent-on-linear1", [*_DATAGEN, "linear1", "--n", "10", "--dependent"],
      None, EXIT_USAGE, "--dependent does not apply to the linear1 model, which takes --dz"),
     ("estimate-independent-on-gauss",
@@ -1008,7 +1008,7 @@ _EXIT_CODES = [
     ("bench-runs-0", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--runs", "0"],
      None, EXIT_USAGE, "runs must be positive"),
     ("bench-k-0", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--k", "0"],
-     None, EXIT_USAGE, "k must be a positive integer"),
+     None, EXIT_USAGE, "k must be positive"),
     ("bench-reg-hidden-0", [*_BENCH, "--n-ci", "1", "--n-cd", "1", "--estimator", "cmigan",
                             "--reg-hidden", "0"],
      None, EXIT_USAGE, "reg_hidden widths must be positive integers, got (0,)"),

@@ -211,7 +211,7 @@ def test_invalid_inputs():
     for gen in _BY_SIZE:
         with pytest.raises(ValueError, match="n must be positive"):
             gen(0, 1, seed=0)
-        with pytest.raises(ValueError, match="must be >= 1"):
+        with pytest.raises(ValueError, match="must be positive"):
             gen(100, 0, seed=0)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             gen(100, 1, seed=-1)

@@ -136,7 +136,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = dataclasses.replace(TINY, noise_dim=3, lr_mode="per_interval")
-        back = EstimatorConfig.from_dict(cfg.to_dict())
+        back = EstimatorConfig(**cfg.to_dict())
         assert back == cfg
 
     def test_validation(self):

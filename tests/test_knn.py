@@ -268,7 +268,7 @@ def test_validation_errors():
 
 @pytest.mark.parametrize("k", [5.5, 5.0, True, "5", None])
 def test_ksg_config_takes_positive_integers_only(k):
-    with pytest.raises(ValueError, match="k must be a positive integer"):
+    with pytest.raises(ValueError, match="k must be an integer"):
         KSGConfig(k=k)
 
 
