@@ -209,10 +209,10 @@ class EstimatorConfig:
 class EstimateReport:
     """Aggregated outcome of N training runs.
 
-    ``per_run`` holds the successful runs' estimates in run order;
-    failed runs land in ``failed_runs`` (seed, step, reason) and are
-    excluded from ``mean``/``std``. ``std`` is the sample standard
-    deviation (0.0 when fewer than two runs survive).
+    ``per_run`` holds the successful runs' estimates in run order, and
+    ``failed_runs`` one record (run, seed, reason) per failed run, which
+    ``mean``/``std`` exclude. ``std`` is the sample standard deviation
+    (0.0 when fewer than two runs survive).
     """
 
     estimator: str
@@ -550,7 +550,8 @@ def _run_many(estimator: str, sets: list[SampleSet], cfg: EstimatorConfig, jobs:
     ``I(X;(Y,Z)) - I(X;Z)``, two ``fmine`` terms: ``full`` and
     ``marginal``, which enters with sign -1. Run r of every term uses
     seed ``seed + r``, so the terms of a run share their initialization
-    and batching noise, and a run failing in any term drops the run.
+    and batching noise. A run failing in any term is dropped and
+    recorded once, by its first failing term (``full`` before ``marginal``).
     """
     # term name -> (kind, data, dims, sign) of each set; a lone term's name is None
     terms_by_set = [
@@ -570,14 +571,14 @@ def _run_many(estimator: str, sets: list[SampleSet], cfg: EstimatorConfig, jobs:
     reports = []
     for terms in terms_by_set:
         by_term = [[next(results) for _ in range(cfg.runs)] for _ in terms]
-        failures = [failure for chunk in by_term for _, _, failure in chunk if failure is not None]
-        failed = {failure["run"] for failure in failures}
         signs = [sign for *_, sign in terms.values()]
-        per_run = [
-            _total([sign * chunk[r][0] for sign, chunk in zip(signs, by_term)])
-            for r in range(cfg.runs)
-            if r not in failed
-        ]
+        per_run, failures = [], []
+        for run in zip(*by_term):  # one run's (estimate, diagnostics, failure) in each term
+            failed = [failure for *_, failure in run if failure is not None]
+            if failed:
+                failures.append(failed[0])
+            else:
+                per_run.append(_total([sign * est for sign, (est, *_) in zip(signs, run)]))
         diagnostics = {}
         for name, chunk in zip(terms, by_term):
             run_diags = [diag for _, diag, failure in chunk if failure is None]

@@ -552,6 +552,33 @@ def test_golden_reports_bitwise(golden, case):
     assert _golden_report(case) == golden[case]
 
 
+def _check_run_accounting(report: dict, runs: int, seed: int):
+    """Each of the ``runs`` runs is kept, in every term's diagnostics, or
+    has exactly one failure record; the records are in run order."""
+    diag = report["diagnostics"]
+    terms = [diag["full"], diag["marginal"]] if "full" in diag else [diag]
+    kept = set.intersection(*({run["seed"] - seed for run in term["runs"]} for term in terms))
+    failed = [failure["run"] for failure in report["failed_runs"]]
+    assert len(report["per_run"]) + len(failed) == runs
+    assert len(kept) == len(report["per_run"])
+    assert failed == sorted(set(failed)) and not kept & set(failed)
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
+def test_golden_run_accounting(golden, case):
+    _, overrides, _ = _GOLDEN_CASES[case]
+    _check_run_accounting(golden[case], overrides.get("runs", TINY.runs), TINY.seed)
+
+
+def test_midiff_fmine_records_a_run_failing_in_both_terms_once():
+    # the pool path: 3 runs over 2 workers, each run failing in both fmine terms
+    cfg = dataclasses.replace(TINY, initial_lr=1e200, runs=3)
+    with np.errstate(all="ignore"):
+        report = estimate(_toy_cmi_samples(), "midiff-fmine", cfg, jobs=2).to_dict()
+    _check_run_accounting(report, 3, cfg.seed)
+    assert [failure["run"] for failure in report["failed_runs"]] == [0, 1, 2]
+
+
 @pytest.mark.parametrize("est", _NETWORK_IDS)
 def test_parallel_equals_serial_bitwise(est):
     samples = _toy_mi_samples() if est in ("migan", "fmine") else _toy_cmi_samples()
