@@ -198,25 +198,17 @@ def _write_report(path: str | None, run_config: dict, report_dict: dict, wall: f
     _write_json(path, doc)
 
 
-def _labelled_runs(report_dict: dict, seed: int) -> list:
-    """(label, diagnostics) of each successful run in a report, labelled
-    by its run index, which is its seed minus the config's ``seed``: "0",
-    "1", ..., or "full/0", ..., "marginal/0", ... for midiff-fmine, which
-    keeps the runs of its two fmine terms apart. A failed run has no
-    diagnostics, so its index is missing."""
-    diag = report_dict["diagnostics"]
-    terms = [(f"{t}/", diag[t]) for t in ("full", "marginal")] if "full" in diag else [("", diag)]
-    return [(f"{pre}{run['seed'] - seed}", run) for pre, term in terms for run in term.get("runs", [])]
-
-
 def _write_trace(path: str, report_dict: dict, seed: int):
-    """Move each run's bulky trace rows from ``report_dict`` to the CSV ``path``."""
+    """Move each successful run's bulky trace rows from ``report_dict`` to
+    the CSV ``path``, labelled "0", "1", ... by its run index, which is its
+    seed minus the config's ``seed``. A failed run has no diagnostics, so
+    its index is missing."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "step", "reg_loss", "gen_loss"])
-        for label, run in _labelled_runs(report_dict, seed):
+        for run in report_dict["diagnostics"].get("runs", []):
             for step, reg, gen in run.pop("trace", []):
-                writer.writerow([label, step, format(reg, ".17g"), format(gen, ".17g")])
+                writer.writerow([run["seed"] - seed, step, format(reg, ".17g"), format(gen, ".17g")])
     log.info("wrote %s", path)
 
 

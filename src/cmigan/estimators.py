@@ -8,22 +8,22 @@ bound, so at the saddle point the bound is the (conditional) mutual
 information. One loop, ``_train_run``, plays it for every network id;
 an id fixes three entries of the ``_GAMES`` table:
 
-- the swapped block: ``y`` (cmigan, migan, fmine) or ``x`` (midiffgan);
+- the swapped block: ``y`` (cmigan, migan, fmine) or ``x`` (midiffgan,
+  midiff-fmine);
 - the blocks each critic reads: ``(x, y, z)``, plus ``(x, z)`` entering
-  with sign -1 for midiffgan, whose estimate is the difference of the
-  two Donsker-Varadhan values;
+  with sign -1 for midiffgan and midiff-fmine, whose estimate is the
+  difference ``I(X;(Y,Z)) - I(X;Z)`` of the two critics' bounds;
 - what the generator is conditioned on: ``z`` (cmigan; migan is the same
   game with an empty ``z``), nothing (midiffgan), or no generator at all
-  (fmine), in which case a within-batch permutation of the swapped block
-  makes the product and the critic maximizes the f-divergence bound.
+  (fmine, midiff-fmine), in which case a within-batch permutation of the
+  swapped block makes the product and each critic maximizes the
+  f-divergence bound.
 
 Each training step makes ``reg_training_ratio`` critic updates (one
 without a generator), then one generator update that reuses the last
 critic batch's unswapped blocks (x and z for cmigan) with fresh noise.
-``midiff-fmine`` composes two fmine estimates as
-``I(X;(Y,Z)) - I(X;Z)``, whose runs share one task list, and ``ksg`` is
-the kNN baseline; :func:`estimate` checks the dz rule of an id and
-the rows it needs, standardizes the data and dispatches by the id.
+``ksg`` is the kNN baseline; :func:`estimate` checks the dz rule of an
+id and the rows it needs, standardizes the data and dispatches by the id.
 """
 
 from __future__ import annotations
@@ -270,6 +270,7 @@ _GAMES = {
     "migan": ("y", (("xyz", 1),), "z"),
     "midiffgan": ("x", (("xyz", 1), ("xz", -1)), ""),
     "fmine": ("y", (("xyz", 1),), None),
+    "midiff-fmine": ("x", (("xyz", 1), ("xz", -1)), None),
 }
 
 # estimator id -> whether its data must have a conditioning block: True
@@ -432,7 +433,7 @@ def _train_run(
             rows = np.take(data, rng.permutation(n)[:b], axis=0, out=batch, mode="clip")
             swapped = swapped_block(rows, draw(b, noise), rows)
             for i, (critic, (blocks, _)) in enumerate(zip(critics, critic_table)):
-                label = "critic loss" if gen is None else f"{names[i]}regression loss"
+                label = names[i] + ("critic loss" if gen is None else "regression loss")
                 losses[i], hits = _critic_step(
                     critic,
                     lambda: joint(rows, blocks, critic.inputs),
@@ -544,50 +545,24 @@ def _single_run(kind: str, data, dims, cfg: EstimatorConfig, run_index: int):
 
 
 def _run_many(estimator: str, sets: list[SampleSet], cfg: EstimatorConfig, jobs: int | None) -> list:
-    """A report per prepared set in ``sets``: a network id's runs, all in one task list.
-
-    A network id is one term: its own game on a set. ``midiff-fmine`` is
-    ``I(X;(Y,Z)) - I(X;Z)``, two ``fmine`` terms: ``full`` and
-    ``marginal``, which enters with sign -1. Run r of every term uses
-    seed ``seed + r``, so the terms of a run share their initialization
-    and batching noise. A run failing in any term is dropped and
-    recorded once, by its first failing term (``full`` before ``marginal``).
-    """
-    # term name -> (kind, data, dims, sign) of each set; a lone term's name is None
-    terms_by_set = [
-        {"full": ("fmine", s.data, (s.dx, s.dy + s.dz, 0), 1),
-         "marginal": ("fmine", np.hstack([s.x, s.z]), (s.dx, s.dz, 0), -1)}
-        if estimator == "midiff-fmine" else {None: (estimator, s.data, s.dims, 1)}
-        for s in sets
-    ]
-    tasks = [
-        (kind, np.ascontiguousarray(data), dims, cfg, r)
-        for terms in terms_by_set
-        for kind, data, dims, _ in terms.values()
-        for r in range(cfg.runs)
-    ]
+    """A report per prepared set in ``sets``: the network id's runs of
+    every set, one task each, all in one task list. Run r uses seed
+    ``seed + r``; a failed run has one failure record and no diagnostics."""
+    tasks = [(estimator, s.data, s.dims, cfg, r) for s in sets for r in range(cfg.runs)]
     results = iter(_parallel_map(_single_run, tasks, jobs))
     sched = cfg.schedule()
     reports = []
-    for terms in terms_by_set:
-        by_term = [[next(results) for _ in range(cfg.runs)] for _ in terms]
-        signs = [sign for *_, sign in terms.values()]
-        per_run, failures = [], []
-        for run in zip(*by_term):  # one run's (estimate, diagnostics, failure) in each term
-            failed = [failure for *_, failure in run if failure is not None]
-            if failed:
-                failures.append(failed[0])
-            else:
-                per_run.append(_total([sign * est for sign, (est, *_) in zip(signs, run)]))
-        diagnostics = {}
-        for name, chunk in zip(terms, by_term):
-            run_diags = [diag for _, diag, failure in chunk if failure is None]
-            diagnostics[name] = {
-                "runs": run_diags,
-                "lr": {"first": lr_at(0, sched), "last": lr_at(cfg.training_steps - 1, sched)},
-                "clamp_warnings": sum(d.get("clamp_warnings", 0) for d in run_diags),
-            }
-        reports.append(_report(estimator, per_run, failures, diagnostics if len(terms) > 1 else diagnostics[None]))
+    for _ in sets:
+        runs = [next(results) for _ in range(cfg.runs)]
+        run_diags = [diag for _, diag, failure in runs if failure is None]
+        diagnostics = {
+            "runs": run_diags,
+            "lr": {"first": lr_at(0, sched), "last": lr_at(cfg.training_steps - 1, sched)},
+            "clamp_warnings": sum(d.get("clamp_warnings", 0) for d in run_diags),
+        }
+        per_run = [est for est, _, failure in runs if failure is None]
+        failures = [failure for *_, failure in runs if failure is not None]
+        reports.append(_report(estimator, per_run, failures, diagnostics))
     return reports
 
 
@@ -619,7 +594,7 @@ def f_mine_mi_estimate(samples: SampleSet, config: EstimatorConfig | None = None
 
 
 def mi_diff_cmi_estimate(samples: SampleSet, config: EstimatorConfig | None = None, jobs: int | None = None) -> EstimateReport:
-    """CMI as ``I(X;(Y,Z)) - I(X;Z)``, each term an ``fmine`` estimate. Requires dz >= 1."""
+    """CMI as ``I(X;(Y,Z)) - I(X;Z)`` from two permutation critics (f-divergence bound). Requires dz >= 1."""
     return estimate(samples, "midiff-fmine", config, jobs)
 
 
@@ -654,9 +629,9 @@ def estimate(
     here, once, before any estimator sees the data.
 
     ``jobs`` worker processes, one BLAS thread each, train the runs of a
-    network id from one task list, which holds both terms' runs for
-    ``midiff-fmine`` and, in :mod:`cmigan.citest`, a collection's runs
-    (None: the CPUs this process may use; else an int of at least 1). The
+    network id from one task list, which holds, in :mod:`cmigan.citest`,
+    a collection's runs (None: the CPUs this process may use; else an int
+    of at least 1). The
     report does not depend on it. A lone run or a daemonic caller runs in
     process, and KSG threads its own tree queries and ignores ``jobs``.
     """

@@ -224,26 +224,34 @@ class TestEstimate:
     @pytest.mark.parametrize("estimator, lr, labels", [
         # runs 0, 2 and 3 fail, so the one traced run is run 1
         ("cmigan", "1e100", ["1"]),
-        # run 2 fails in the full term, runs 1 and 2 in the marginal term
-        ("midiff-fmine", "1.78e101", ["full/0", "full/1", "full/3", "marginal/0", "marginal/3"]),
+        # runs 0 and 2 fail
+        ("midiff-fmine", "1.78e101", ["1", "3"]),
     ], ids=["cmigan", "midiff-fmine"])
     def test_trace_labels_runs_by_index_when_runs_fail(self, tmp_path, capsys, estimator, lr,
                                                        labels):
         trace_path = str(tmp_path / "trace.csv")
+        report_path = str(tmp_path / "rep.json")
         with np.errstate(all="ignore"):
             code = main([
                 "-q", "estimate", "--estimator", estimator, "--model", "linear1", "--n", "256",
                 "--dz", "1", "--runs", "4", "--seed", "0", "--steps", "3", "--batch-size", "64",
                 "--reg-hidden", "8,4", "--gen-hidden", "8,4", "--eval-passes", "1",
-                "--lr", lr, "--jobs", "1", "--trace", trace_path,
+                "--lr", lr, "--jobs", "1", "--trace", trace_path, "--out", report_path,
             ])
         capsys.readouterr()
         assert code == EXIT_OK
         with open(trace_path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [row[0] for row in rows] == [label for label in labels for _ in range(3)]
+        # a failed run feeds neither the diagnostics nor the trace
+        report = _read_json(report_path)["report"]
+        failed = {str(failure["run"]) for failure in report["failed_runs"]}
+        assert len(failed) == 4 - len(labels)
+        assert not failed & {str(run["seed"]) for run in report["diagnostics"]["runs"]}
+        assert not failed & {row[0] for row in rows}
 
-    def test_midiff_fmine_trace_holds_both_terms(self, tmp_path, capsys):
+    def test_midiff_fmine_trace_has_one_label_per_run(self, tmp_path, capsys):
+        # one game per run: its two critics' losses share the run's rows
         report_path = str(tmp_path / "rep.json")
         trace_path = str(tmp_path / "trace.csv")
         code = main([
@@ -255,15 +263,15 @@ class TestEstimate:
         capsys.readouterr()
         assert code == EXIT_OK
         diagnostics = _read_json(report_path)["report"]["diagnostics"]
-        for term in ("full", "marginal"):
-            assert all("trace" not in run for run in diagnostics[term]["runs"])
+        assert not {"full", "marginal"} & set(diagnostics)
+        assert [run["seed"] for run in diagnostics["runs"]] == [5, 6]
+        assert all("trace" not in run for run in diagnostics["runs"])
         with open(trace_path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["run", "step", "reg_loss", "gen_loss"]
-        labels = [f"{term}/{r}" for term in ("full", "marginal") for r in (0, 1)]
-        assert [row[0] for row in rows[1:]] == [label for label in labels for _ in range(10)]
-        assert [int(row[1]) for row in rows[1:]] == list(range(10)) * 4
-        # fmine has no generator, so its generator loss is NaN
+        assert [row[0] for row in rows[1:]] == [label for label in ("0", "1") for _ in range(10)]
+        assert [int(row[1]) for row in rows[1:]] == list(range(10)) * 2
+        # midiff-fmine has no generator, so its generator loss is NaN
         assert all(math.isfinite(float(row[2])) and row[3] == "nan" for row in rows[1:])
 
     @pytest.mark.parametrize("estimator", ["cmigan", "migan", "midiffgan", "fmine",

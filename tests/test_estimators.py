@@ -414,23 +414,18 @@ class TestVariants:
         assert "clamp_warnings" in rep.diagnostics
 
     def test_mi_diff_pairing_uses_matched_seeds(self):
-        s = _toy_cmi_samples()
-        rep = mi_diff_cmi_estimate(s, config=TINY)
+        # one game per run: one diagnostics entry per run, run r seeded seed + r
+        rep = mi_diff_cmi_estimate(_toy_cmi_samples(), config=TINY)
         assert rep.estimator == "midiff-fmine"
         assert len(rep.per_run) == 2
-        full = rep.diagnostics["full"]["runs"]
-        marg = rep.diagnostics["marginal"]["runs"]
-        assert [d["seed"] for d in full] == [d["seed"] for d in marg]
+        assert [d["seed"] for d in rep.diagnostics["runs"]] == [TINY.seed, TINY.seed + 1]
+        assert not {"full", "marginal"} & set(rep.diagnostics)
 
     def test_difference_identity_against_manual_composition(self):
-        s = _toy_cmi_samples()
-        rep = mi_diff_cmi_estimate(s, config=TINY)
-        std = s.standardized()
-        sub = dataclasses.replace(TINY, standardize=False)
-        full = f_mine_mi_estimate(SampleSet(std.data, (1, 3, 0)), sub)
-        marg = f_mine_mi_estimate(SampleSet(np.hstack([std.x, std.z]), (1, 2, 0)), sub)
-        manual = [a - b for a, b in zip(full.per_run, marg.per_run)]
-        assert rep.per_run == pytest.approx(manual, abs=1e-12)
+        # each eval pass is the difference of the two critics' bounds, and a
+        # run's estimate is the mean of its passes
+        rep = mi_diff_cmi_estimate(_toy_cmi_samples(), config=TINY)
+        assert rep.per_run == [float(np.mean(d["eval_values"])) for d in rep.diagnostics["runs"]]
 
 
 class TestDispatch:
@@ -553,11 +548,9 @@ def test_golden_reports_bitwise(golden, case):
 
 
 def _check_run_accounting(report: dict, runs: int, seed: int):
-    """Each of the ``runs`` runs is kept, in every term's diagnostics, or
-    has exactly one failure record; the records are in run order."""
-    diag = report["diagnostics"]
-    terms = [diag["full"], diag["marginal"]] if "full" in diag else [diag]
-    kept = set.intersection(*({run["seed"] - seed for run in term["runs"]} for term in terms))
+    """Each of the ``runs`` runs is kept, in the diagnostics, or has
+    exactly one failure record; the records are in run order."""
+    kept = {run["seed"] - seed for run in report["diagnostics"]["runs"]}
     failed = [failure["run"] for failure in report["failed_runs"]]
     assert len(report["per_run"]) + len(failed) == runs
     assert len(kept) == len(report["per_run"])
@@ -570,8 +563,8 @@ def test_golden_run_accounting(golden, case):
     _check_run_accounting(golden[case], overrides.get("runs", TINY.runs), TINY.seed)
 
 
-def test_midiff_fmine_records_a_run_failing_in_both_terms_once():
-    # the pool path: 3 runs over 2 workers, each run failing in both fmine terms
+def test_midiff_fmine_records_each_failed_run_once():
+    # the pool path: 3 runs over 2 workers, each failing in both critics
     cfg = dataclasses.replace(TINY, initial_lr=1e200, runs=3)
     with np.errstate(all="ignore"):
         report = estimate(_toy_cmi_samples(), "midiff-fmine", cfg, jobs=2).to_dict()
@@ -617,20 +610,28 @@ def test_one_usable_cpu_starts_no_pool_bitwise(monkeypatch):
     assert _cmi_report("cmigan") == serial
 
 
-def test_midiff_fmine_terms_share_one_pool(monkeypatch):
-    # the runs of both fmine terms are one task list for one pool
+def test_midiff_fmine_runs_share_one_pool(monkeypatch):
+    # --runs R is R tasks, one per run, for one pool
     if not estimators._blas_thread_setters():
         pytest.skip("no OpenBLAS thread setter: every run stays in process")
-    pools = []
+    pools, tasks = [], []
     pool_class = estimators.ProcessPoolExecutor
+    map_tasks = estimators._parallel_map
 
     def counted_pool(*args, **kwargs):
         pools.append(args)
         return pool_class(*args, **kwargs)
 
+    def counted_map(fn, task_list, jobs):
+        tasks.extend(task_list)
+        return map_tasks(fn, task_list, jobs)
+
     monkeypatch.setattr(estimators, "ProcessPoolExecutor", counted_pool)
-    estimate(_toy_cmi_samples(), "midiff-fmine", TINY, jobs=2)
+    monkeypatch.setattr(estimators, "_parallel_map", counted_map)
+    cfg = dataclasses.replace(TINY, runs=3)
+    estimate(_toy_cmi_samples(), "midiff-fmine", cfg, jobs=2)
     assert len(pools) == 1
+    assert [task[-1] for task in tasks] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", True])
