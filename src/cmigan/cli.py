@@ -38,7 +38,7 @@ from .dataio import (
     write_manifest,
     write_sidecar,
 )
-from .estimators import ESTIMATOR_IDS, EstimatorConfig, check_rows, estimate
+from .estimators import ESTIMATOR_IDS, EstimatorConfig, blas_core, check_rows, estimate
 from .knn import KSGConfig
 from .neuralnet import RMSPROP_EPS, RMSPROP_RHO, NumericalError, gradient_check
 
@@ -194,7 +194,10 @@ def _run_config(command: str, estimator: str, cfg: EstimatorConfig, ksg_cfg: KSG
 
 
 def _write_report(path: str | None, run_config: dict, report_dict: dict, wall: float):
-    doc = {"run_config": run_config, "report": report_dict, "wall_time_s": wall, "version": __version__}
+    # the BLAS kernel and numpy decide the last bits of a report; they are
+    # named outside ``report``, which a replay must reproduce bit for bit
+    doc = {"run_config": run_config, "report": report_dict, "wall_time_s": wall, "version": __version__,
+           "blas_core": blas_core(), "numpy": np.__version__}
     _write_json(path, doc)
 
 

@@ -498,16 +498,32 @@ def _train_run(
     return estimate, diag
 
 
-def _blas_thread_setters() -> list:
-    """``set_num_threads`` of every OpenBLAS loaded in this process."""
+def _openblas(function: str) -> list:
+    """The ``function`` (e.g. ``set_num_threads``) of every OpenBLAS
+    loaded in this process, found by one scan of its memory map."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
         libs = [ctypes.CDLL(path) for path in paths]
     except OSError:
         return []
-    names = [f"{p}_set_num_threads{s}" for s in ("64_", "") for p in ("scipy_openblas", "openblas")]
+    names = [f"{p}_{function}{s}" for s in ("64_", "") for p in ("scipy_openblas", "openblas")]
     return [getattr(lib, name) for lib in libs for name in names if hasattr(lib, name)]
+
+
+def _blas_thread_setters() -> list:
+    """``set_num_threads`` of every OpenBLAS loaded in this process."""
+    return _openblas("set_num_threads")
+
+
+def blas_core() -> str | None:
+    """The kernel the first OpenBLAS loaded in this process picked for
+    this CPU (e.g. ``SkylakeX``), or None without one. The goldens' last
+    bits belong to that kernel."""
+    for corename in _openblas("get_corename"):
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 def _one_blas_thread():

@@ -14,6 +14,7 @@ from cmigan import cli
 from cmigan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from cmigan.datagen import gen_cit
 from cmigan.dataio import ManifestEntry, save_csv, write_manifest
+from cmigan import estimators
 from cmigan.estimators import EstimatorConfig
 
 from oracle_tools import hex_floats
@@ -26,6 +27,12 @@ TINY_NET = [
     "--eval-passes", "2",
     "--lr", "1e-3",
 ]
+
+
+def _run_facts_dropped(doc: dict) -> dict:
+    """A report document less what describes how it was run rather than
+    what it found: its wall time, BLAS kernel and numpy version."""
+    return {key: value for key, value in doc.items() if key not in ("wall_time_s", "blas_core", "numpy")}
 
 
 # a dataset spec with every field the linear1 model needs
@@ -167,6 +174,9 @@ class TestEstimate:
         assert doc["run_config"]["estimator"] == "ksg"
         assert doc["report"]["mean"] == pytest.approx(0.5 * math.log(2.0), abs=0.1)
         assert "version" in doc
+        # what decides the last bits sits beside the version, outside report
+        assert doc["blas_core"] == estimators.blas_core()
+        assert doc["numpy"] == np.__version__
 
     def test_inline_model_with_network_estimator(self, tmp_path, capsys):
         report_path = str(tmp_path / "rep.json")
@@ -368,10 +378,8 @@ class TestEstimate:
         assert main(["-q", "estimate", "--config", old, "--out", replay]) == EXIT_OK
         capsys.readouterr()
         got = _read_json(replay)
-        for d in (doc, got):
-            del d["wall_time_s"]
         # json writes each float's shortest round-trip repr, so equal text is equal bits
-        assert json.dumps(got) == json.dumps(doc)
+        assert json.dumps(_run_facts_dropped(got)) == json.dumps(_run_facts_dropped(doc))
 
     @pytest.mark.parametrize("doc", [
         {"run_config": {"estimator_config": {}}},

@@ -3,6 +3,9 @@ import json
 import math
 import multiprocessing
 import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -608,6 +611,18 @@ def test_one_usable_cpu_starts_no_pool_bitwise(monkeypatch):
 
     monkeypatch.setattr(estimators, "ProcessPoolExecutor", no_pool)
     assert _cmi_report("cmigan") == serial
+
+
+def test_blas_core_names_the_kernel_openblas_runs():
+    if estimators.blas_core() is None or platform.machine() != "x86_64":
+        pytest.skip("needs OpenBLAS on x86-64, which can run its Sandybridge kernel")
+    src = os.path.dirname(os.path.dirname(estimators.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "from cmigan.estimators import blas_core; print(blas_core())"],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": "Sandybridge"},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "Sandybridge"
 
 
 def test_midiff_fmine_runs_share_one_pool(monkeypatch):
