@@ -362,7 +362,7 @@ def _train_run(
     (x and z for cmigan) with fresh noise, and descends the signed sum of
     the critics' log-mean-exp terms.
     The estimate averages ``eval_passes`` signed sums of the objectives on
-    the full data, each pass with a fresh product sample.
+    all n rows, each pass with a fresh product sample.
 
     Every batch-sized array is allocated once per run: the gathered
     batch, the noise or permuted block, each network's inputs and
