@@ -264,7 +264,7 @@ class _Net:
 # estimator id -> (swapped block, critics as (blocks read, sign), blocks
 # the generator is conditioned on). A conditioning of None means no
 # generator: the product permutes the swapped block within the batch and
-# the critic maximizes the f-divergence bound instead of the DV bound.
+# each critic maximizes the f-divergence bound instead of the DV bound.
 _GAMES = {
     "cmigan": ("y", (("xyz", 1),), "z"),
     "migan": ("y", (("xyz", 1),), "z"),
@@ -517,9 +517,9 @@ def _blas_thread_setters() -> list:
 
 
 def blas_core() -> str | None:
-    """The kernel the first OpenBLAS loaded in this process picked for
-    this CPU (e.g. ``SkylakeX``), or None without one. The goldens' last
-    bits belong to that kernel."""
+    """The kernel that the first OpenBLAS found in this process picked
+    for this CPU (e.g. ``SkylakeX``), or None without one. The goldens'
+    last bits belong to that kernel."""
     for corename in _openblas("get_corename"):
         corename.restype = ctypes.c_char_p
         return corename().decode()
@@ -647,9 +647,9 @@ def estimate(
     ``jobs`` worker processes, one BLAS thread each, train the runs of a
     network id from one task list, which holds, in :mod:`cmigan.citest`,
     a collection's runs (None: the CPUs this process may use; else an int
-    of at least 1). The
-    report does not depend on it. A lone run or a daemonic caller runs in
-    process, and KSG threads its own tree queries and ignores ``jobs``.
+    of at least 1). The report does not depend on it. A lone run or a
+    daemonic caller runs in process, and KSG threads its own tree queries
+    and ignores ``jobs``.
     """
     typed_value("jobs", "int | None", jobs)
     cfg = config or EstimatorConfig()
