@@ -260,8 +260,8 @@ class TestEstimate:
         assert not failed & {str(run["seed"]) for run in report["diagnostics"]["runs"]}
         assert not failed & {row[0] for row in rows}
 
-    def test_midiff_fmine_trace_has_one_label_per_run(self, tmp_path, capsys):
-        # one game per run: its two critics' losses share the run's rows
+    def test_midiff_fmine_trace_holds_both_terms(self, tmp_path, capsys):
+        # one game per run: the losses of both terms' critics share the run's rows
         report_path = str(tmp_path / "rep.json")
         trace_path = str(tmp_path / "trace.csv")
         code = main([

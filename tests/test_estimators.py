@@ -566,8 +566,8 @@ def test_golden_run_accounting(golden, case):
     _check_run_accounting(golden[case], overrides.get("runs", TINY.runs), TINY.seed)
 
 
-def test_midiff_fmine_records_each_failed_run_once():
-    # the pool path: 3 runs over 2 workers, each failing in both critics
+def test_midiff_fmine_records_a_run_failing_in_both_terms_once():
+    # the pool path: 3 runs over 2 workers, each run failing in both critics' terms
     cfg = dataclasses.replace(TINY, initial_lr=1e200, runs=3)
     with np.errstate(all="ignore"):
         report = estimate(_toy_cmi_samples(), "midiff-fmine", cfg, jobs=2).to_dict()
@@ -625,8 +625,8 @@ def test_blas_core_names_the_kernel_openblas_runs():
     assert done.stdout.strip() == "Sandybridge"
 
 
-def test_midiff_fmine_runs_share_one_pool(monkeypatch):
-    # --runs R is R tasks, one per run, for one pool
+def test_midiff_fmine_terms_share_one_pool(monkeypatch):
+    # both terms of a run train in one task, so --runs R is R tasks for one pool
     if not estimators._blas_thread_setters():
         pytest.skip("no OpenBLAS thread setter: every run stays in process")
     pools, tasks = [], []
