@@ -10,11 +10,10 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from cmigan import cli
+from cmigan import cli, estimators
 from cmigan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from cmigan.datagen import gen_cit
 from cmigan.dataio import ManifestEntry, save_csv, write_manifest
-from cmigan import estimators
 from cmigan.estimators import EstimatorConfig
 
 from oracle_tools import hex_floats

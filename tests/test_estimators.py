@@ -425,8 +425,8 @@ class TestVariants:
         assert not {"full", "marginal"} & set(rep.diagnostics)
 
     def test_difference_identity_against_manual_composition(self):
-        # each eval pass is the difference of the two critics' bounds, and a
-        # run's estimate is the mean of its passes
+        # a run's estimate is the mean of its eval passes, each one signed
+        # sum of the two critics' bounds
         rep = mi_diff_cmi_estimate(_toy_cmi_samples(), config=TINY)
         assert rep.per_run == [float(np.mean(d["eval_values"])) for d in rep.diagnostics["runs"]]
 
