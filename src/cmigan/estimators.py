@@ -6,7 +6,8 @@ samples ``(x, y, z)`` from product samples in which one block is
 replaced; a generator makes the replacement and minimizes the same
 bound, so at the saddle point the bound is the (conditional) mutual
 information. One loop, ``_train_run``, plays it for every network id;
-an id fixes three entries of the ``_GAMES`` table:
+an id's row of the ``_GAMES`` table fixes its dz rule and three entries
+of the game:
 
 - the swapped block: ``y`` (cmigan, migan, fmine) or ``x`` (midiffgan,
   midiff-fmine);
@@ -49,7 +50,7 @@ from .bounds import (
 from .knn import KSGConfig, ksg_cmi_result, ksg_mi_result
 # perfbench's tracer wraps the passes, add_grads and rmsprop_step by
 # their names in this module, so they stay imported here even where the
-# training loop calls the in-place rmsprop_update instead
+# training loop calls mlp_forward and the in-place rmsprop_update instead
 from .neuralnet import (
     SCHEDULE_MODES,
     MLPBuffers,
@@ -244,10 +245,11 @@ class _Net:
     """A network's parameters, its RMSProp state and the arrays of its
     passes, allocated once for the run's batch size: one input array and
     the :class:`MLPBuffers` that every pass writes into. The buffers hold
-    the net's one forward cache: a cached forward records it there, the
-    backward consumes it and an uncached forward clears it. A critic
-    also keeps ``joint_grads``, a params-sized array set for its joint
-    pass's gradients while its product pass reuses the buffers."""
+    the net's one forward cache: every forward records it there and the
+    backward consumes it, so a backward propagates the net's last
+    forward. A critic also keeps ``joint_grads``, a params-sized array
+    set for its joint pass's gradients while its product pass reuses the
+    buffers."""
 
     def __init__(self, spec: MLPSpec, seed: int, cfg: EstimatorConfig, critic: bool):
         self.params = mlp_init(spec, seed)
@@ -261,26 +263,21 @@ class _Net:
             )
 
 
-# estimator id -> (swapped block, critics as (blocks read, sign), blocks
-# the generator is conditioned on). A conditioning of None means no
-# generator: the product permutes the swapped block within the batch and
-# each critic maximizes the f-divergence bound instead of the DV bound.
+# network id -> (swapped block, critics as (blocks read, sign), blocks
+# the generator is conditioned on, whether its data must have a
+# conditioning block: dz >= 1 or dz == 0). A conditioning of None means
+# no generator: the product permutes the swapped block within the batch
+# and each critic maximizes the f-divergence bound instead of the DV
+# bound. ksg takes either dz and picks its form from it.
 _GAMES = {
-    "cmigan": ("y", (("xyz", 1),), "z"),
-    "migan": ("y", (("xyz", 1),), "z"),
-    "midiffgan": ("x", (("xyz", 1), ("xz", -1)), ""),
-    "fmine": ("y", (("xyz", 1),), None),
-    "midiff-fmine": ("x", (("xyz", 1), ("xz", -1)), None),
+    "cmigan": ("y", (("xyz", 1),), "z", True),
+    "migan": ("y", (("xyz", 1),), "z", False),
+    "midiffgan": ("x", (("xyz", 1), ("xz", -1)), "", True),
+    "fmine": ("y", (("xyz", 1),), None, False),
+    "midiff-fmine": ("x", (("xyz", 1), ("xz", -1)), None, True),
 }
 
-# estimator id -> whether its data must have a conditioning block: True
-# (dz >= 1), False (dz == 0) or None (either; ksg picks its form from dz)
-_NEEDS_Z = {
-    "cmigan": True, "migan": False, "midiffgan": True, "fmine": False, "midiff-fmine": True,
-    "ksg": None,
-}
-
-ESTIMATOR_IDS = tuple(_NEEDS_Z)
+ESTIMATOR_IDS = (*_GAMES, "ksg")
 
 
 def check_rows(estimator: str, samples: SampleSet, cfg: EstimatorConfig, ksg_config: KSGConfig | None = None):
@@ -289,7 +286,7 @@ def check_rows(estimator: str, samples: SampleSet, cfg: EstimatorConfig, ksg_con
     batch for a network id (which warns below two)."""
     if estimator not in ESTIMATOR_IDS:
         raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_IDS}")
-    needs_z, n = _NEEDS_Z[estimator], samples.n
+    needs_z, n = (_GAMES[estimator][3] if estimator in _GAMES else None), samples.n
     if needs_z is not None and (samples.dz >= 1) != needs_z:
         rule = "dz >= 1" if needs_z else "dz == 0"
         raise ValueError(f"{estimator} needs data with {rule}, got dz={samples.dz}")
@@ -320,19 +317,19 @@ def _critic_step(net: _Net, joint_input, product_input, fdiv: bool, label: str, 
     ``joint_input()`` and ``product_input()`` write into the critic's
     input array. The passes share the critic's one buffer set, in the
     order joint forward, joint backward, product forward, product
-    backward: each backward consumes the forward cache that the forward
-    before it left in the set. The joint gradients wait in
-    ``net.joint_grads`` and the joint scores in a copy.
+    backward: every forward leaves its cache in the set, and each
+    backward consumes the one the forward before it left. The joint
+    gradients wait in ``net.joint_grads`` and the joint scores in a copy.
     Returns the loss (the negated objective) and the number of clamped
     product scores, which only the f-divergence objective has."""
     params, buf, joint_grads = net.params, net.buffers, net.joint_grads
-    s_joint, _ = mlp_forward_cached(params, joint_input(), buffers=buf)
+    s_joint = mlp_forward(params, joint_input(), buffers=buf)
     s_joint = _finite(s_joint, "joint scores", step).copy()
     b = s_joint.shape[0]
     grads = mlp_backward_cached(params, buf, np.full((b, 1), -1.0 / b), input_grad=False)
     for acc, g in zip(joint_grads.weights + joint_grads.biases, grads.weights + grads.biases):
         np.copyto(acc, g)
-    s_prod, _ = mlp_forward_cached(params, product_input(), buffers=buf)
+    s_prod = mlp_forward(params, product_input(), buffers=buf)
     _finite(s_prod, "product scores", step)
     clamp_hits = 0
     if fdiv:
@@ -373,7 +370,7 @@ def _train_run(
     since BLAS rounds some row counts differently (a one-row last block
     goes through gemv; see :mod:`cmigan.neuralnet`).
     """
-    swap, critic_table, cond = _GAMES[kind]
+    swap, critic_table, cond, _ = _GAMES[kind]
     rng = np.random.default_rng(seed)
     n, b, last = data.shape[0], cfg.batch_size, cfg.training_steps
     dx, dy, _ = dims
@@ -398,14 +395,8 @@ def _train_run(
     def stack(parts: list, out: np.ndarray) -> np.ndarray:
         return np.concatenate(parts, axis=1, out=out[: parts[0].shape[0]])
 
-    def joint(rows: np.ndarray, blocks: str, out: np.ndarray) -> np.ndarray:
-        return stack([rows[:, span[key]] for key in blocks], out)
-
     def product(rows: np.ndarray, swapped: np.ndarray, blocks: str, out: np.ndarray):
         return stack([swapped if key == swap else rows[:, span[key]] for key in blocks], out)
-
-    def gen_input(pick: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return stack([pick] + [rows[:, span[key]] for key in cond], gen.inputs)
 
     def draw(count: int, out: np.ndarray | None) -> np.ndarray:
         """Fresh randomness for ``count`` product rows: a permutation of
@@ -415,11 +406,13 @@ def _train_run(
     def swapped_block(rows: np.ndarray, pick: np.ndarray, source: np.ndarray) -> np.ndarray:
         """The block swapped into the product sample of ``rows``: the rows
         ``pick`` of ``source``'s swapped block, or the generator's output
-        on the noise ``pick`` and ``rows``' conditioning blocks."""
+        on the noise ``pick`` and ``rows``' conditioning blocks, whose
+        forward cache the generator step backpropagates."""
         if gen is None:
             out = permuted[: len(pick)]
             return np.take(source[:, span[swap]], pick, axis=0, out=out, mode="clip")
-        return mlp_forward(gen.params, gen_input(pick, rows), buffers=gen.buffers)
+        inputs = stack([pick] + [rows[:, span[key]] for key in cond], gen.inputs)
+        return mlp_forward(gen.params, inputs, buffers=gen.buffers)
 
     sched = cfg.schedule()
     trace = [] if cfg.record_trace else None
@@ -436,19 +429,18 @@ def _train_run(
                 label = names[i] + ("critic loss" if gen is None else "regression loss")
                 losses[i], hits = _critic_step(
                     critic,
-                    lambda: joint(rows, blocks, critic.inputs),
+                    lambda: product(rows, rows[:, span[swap]], blocks, critic.inputs),
                     lambda: product(rows, swapped, blocks, critic.inputs),
                     gen is None, label, lr, step,
                 )
                 clamp_hits += hits
 
         if gen is not None:
-            gen_in = gen_input(draw(b, noise), rows)
-            swapped, _ = mlp_forward_cached(gen.params, gen_in, buffers=gen.buffers)
+            swapped = swapped_block(rows, draw(b, noise), rows)
             terms, d_swapped = [], []
             for i, (critic, (blocks, sign)) in enumerate(zip(critics, critic_table)):
                 prod_in = product(rows, swapped, blocks, critic.inputs)
-                s, _ = mlp_forward_cached(critic.params, prod_in, buffers=critic.buffers)
+                s = mlp_forward(critic.params, prod_in, buffers=critic.buffers)
                 _finite(s, f"{names[i]}product scores", step)
                 terms.append(-sign * log_mean_exp(s))
                 d_scores = -sign * softmax_weights(s.ravel())[:, None]

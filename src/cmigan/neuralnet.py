@@ -12,13 +12,13 @@ the arrays of an :class:`MLPBuffers`, never into a caller's array. A
 training loop allocates one per network and batch size and reuses it on
 every step and on every row block of an evaluation; the public passes
 called without one allocate one for that call. The set is its own
-forward cache: a cached forward pass records the layer inputs (the batch
-and the hidden layers' post-ReLU outputs, which live in the set's output
-arrays) in the set, and an uncached forward pass clears that record, so
-only the last cached forward through a set can be backpropagated. The
-backward pass consumes the record: it writes each hidden layer's delta
-over the activation it has just read, so the set holds no per-layer
-delta, and a second backward without a new cached forward raises. It
+forward cache, under one rule: every forward pass records the layer
+inputs (the batch and the hidden layers' post-ReLU outputs, which live
+in the set's output arrays) in the set, so a backward pass propagates
+the last forward through the set. The backward pass consumes the
+record: it writes each hidden layer's delta over the activation it has
+just read, so the set holds no per-layer delta, and a second backward
+without a new forward raises. It
 forms the input gradient and the parameter gradients only when asked for
 them, and RMSProp updates parameters and state in place
 (:func:`rmsprop_update`). Reusing storage that no two passes need at the
@@ -178,9 +178,8 @@ class MLPBuffers:
     gradient with respect to the batch; ``weights``/``biases`` are the
     parameter gradients. A batch of ``m <= rows`` rows uses the first
     ``m`` rows of each array. ``layer_inputs`` records the layer inputs
-    of the last :func:`mlp_forward_cached` through the set (the batch,
-    then views of the hidden ``outputs``); the backward pass that
-    consumes them, and any uncached forward pass through the set, leave
+    of the last forward pass through the set (the batch, then views of
+    the hidden ``outputs``); the backward pass that consumes them leaves
     it empty.
     """
 
@@ -229,24 +228,23 @@ def mlp_forward(
     """Evaluate the network on a batch, returning ``(n, output_dim)`` scores.
 
     The scores are a view into ``buffers`` (fresh ones when not given),
-    and the pass clears their forward cache.
+    and the pass leaves its forward cache there, for a backward pass
+    through the same buffers (see :func:`mlp_forward_cached`).
     """
-    scores, buffers = mlp_forward_cached(params, batch, buffers=buffers)
-    buffers.layer_inputs = []
-    return scores
+    return mlp_forward_cached(params, batch, buffers=buffers)[0]
 
 
 def mlp_forward_cached(params: MLPParams, batch: np.ndarray, *, buffers: MLPBuffers | None = None):
-    """Like :func:`mlp_forward` but returns ``(scores, buffers)`` with the
-    forward cache recorded in ``buffers.layer_inputs``: the input of every
-    layer (the batch, then each hidden layer's post-ReLU activations).
+    """Like :func:`mlp_forward` but returns ``(scores, buffers)``. The
+    cache in ``buffers.layer_inputs`` holds the input of every layer
+    (the batch, then each hidden layer's post-ReLU activations).
 
     Each layer's matmul writes into its output array in ``buffers``
     (fresh ones when not given), and the bias add and the ReLU then
     overwrite it in place; the caller's ``batch`` is never written. The
     cache feeds :func:`mlp_backward_cached`, which saves the training
     loops one redundant forward pass per update and consumes it; the next
-    forward pass through the same buffers replaces or clears it.
+    forward pass through the same buffers replaces it.
     """
     batch = _check_batch(params, batch)
     rows = batch.shape[0]
@@ -274,22 +272,22 @@ def mlp_backward_cached(
     input_grad: bool = True,
     param_grads: bool = True,
 ) -> MLPGrads:
-    """Backward pass consuming the forward cache that the last
-    :func:`mlp_forward_cached` through ``buffers`` recorded there.
+    """Backward pass consuming the forward cache that the last forward
+    pass through ``buffers`` recorded there.
 
     A hidden layer's cached post-ReLU output is read twice, for its
     weight gradient and for its ReLU mask (``> 0`` exactly where the
     pre-activation is), which goes into ``buffers.mask``; the delta of
     that layer's input is then written over it and masked in place. So
-    the pass empties the cache, and a backward on buffers without one (a
-    second backward, or one after an uncached forward) raises
-    ``ValueError``: run the cached forward pass again. The batch (the
-    cache's first entry) and ``upstream_grad`` are never written. With
-    ``input_grad=False`` the pass stops before the input layer's
-    ``delta @ W0.T`` and returns ``inputs=None``, for callers that only
-    update the parameters; with ``param_grads=False`` it forms no weight
-    or bias gradient and returns empty lists, for callers that only
-    chain the input gradient into another network. The gradients are
+    the pass empties the cache, and a second backward without a new
+    forward pass through ``buffers`` raises ``ValueError``: run the
+    forward pass again. The batch (the cache's first entry) and
+    ``upstream_grad`` are never written. With ``input_grad=False`` the
+    pass stops before the input layer's ``delta @ W0.T`` and returns
+    ``inputs=None``, for callers that only update the parameters; with
+    ``param_grads=False`` it forms no weight or bias gradient and returns
+    empty lists, for callers that only chain the input gradient into
+    another network. The gradients are
     views into ``buffers``, valid until its next backward pass.
     """
     layer_inputs = buffers.layer_inputs

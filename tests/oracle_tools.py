@@ -8,17 +8,20 @@ Also a quadrature of the linear1 CMI integrand, an independent check
 on the closed-form truth, and quadratic references for the fast paths of
 the package: KSG's neighbour counts (a reference kept alongside the
 kd-tree path because the two must agree on every count exactly, not
-just on the final number) and the pairwise AuROC.
+just on the final number) and the pairwise AuROC. And the lookup of a
+bitwise pin's set for the BLAS kernel that runs the tests.
 """
 
 import json
 import math
 
 import numpy as np
+import pytest
 
 from cmigan import knn
 from cmigan.citest import _check_labels
 from cmigan.datagen import ModelParams
+from cmigan.estimators import blas_core
 
 # P(x,y,z) in 32nds, all states positive, indexed [x, y, z]
 TOY_P = np.array(
@@ -145,6 +148,22 @@ def hex_floats(value):
     if isinstance(value, (list, tuple)):
         return [hex_floats(v) for v in value]
     return value
+
+
+# writes the set of the running kernel into each file of kernel-keyed pins
+RECORD_PINS = "PYTHONPATH=src python tests/record_pins.py"
+
+
+def core_set(sets: dict):
+    """The set that ``sets``, a kernel-keyed pin file's contents, holds
+    for the OpenBLAS kernel this process runs. A product's last bits
+    depend on the kernel, so each kernel (``blas_core()``) has its own
+    set; a kernel without one fails the test and names the command that
+    records it."""
+    core = blas_core()
+    if core not in sets:
+        pytest.fail(f"no pinned set for blas_core() = {core!r}; record one with `{RECORD_PINS}`", pytrace=False)
+    return sets[core]
 
 
 def _neighbor_stats_bruteforce(x: np.ndarray, y: np.ndarray, k: int):

@@ -31,6 +31,8 @@ from cmigan.estimators import (
 )
 from cmigan.neuralnet import MLPSpec, ScheduleConfig, gradient_check
 
+import oracle_tools
+from oracle_tools import core_set
 from oracle_tools import hex_floats as _pin
 
 TINY = EstimatorConfig(
@@ -303,7 +305,9 @@ class TestMechanics:
         # sets, 4 with a critic's joint accumulator), one input array, one
         # output per layer, one input gradient and one bool mask as wide as
         # the widest hidden layer; 19.8 MB in all, which a second critic
-        # buffer set or a per-layer delta array would break
+        # buffer set or a per-layer delta array would break. Each array
+        # counts once, through the array that owns its memory, so the views
+        # a net's forward cache holds count as the arrays they view
         nets = []
 
         class Recorded(estimators._Net):
@@ -311,12 +315,13 @@ class TestMechanics:
                 super().__init__(*args)
                 nets.append(self)
 
-        def array_bytes(obj) -> int:
+        def owners(obj) -> list:
             if isinstance(obj, np.ndarray):
-                return obj.nbytes
-            if isinstance(obj, (list, tuple)):
-                return sum(array_bytes(v) for v in obj)
-            return sum(array_bytes(v) for v in getattr(obj, "__dict__", {}).values())
+                while obj.base is not None:
+                    obj = obj.base
+                return [obj]
+            values = obj if isinstance(obj, (list, tuple)) else getattr(obj, "__dict__", {}).values()
+            return [owner for v in values for owner in owners(v)]
 
         monkeypatch.setattr(estimators, "_Net", Recorded)
         b, d = 4096, 5
@@ -330,7 +335,8 @@ class TestMechanics:
             floats = param_sets * params + b * (2 * dims[0] + sum(dims[1:]))
             expected += 8 * floats + b * max(dims[1:-1])
         assert [n.params.spec.layer_dims() for n in nets] == [critic_dims, gen_dims]
-        assert sum(array_bytes(n) for n in nets) == expected == 19_805_336
+        held = {id(owner): owner.nbytes for n in nets for owner in owners(n)}
+        assert sum(held.values()) == expected == 19_805_336
 
     def test_parallel_jobs_match_serial(self):
         s = _toy_cmi_samples()
@@ -506,9 +512,9 @@ class TestStatisticalSanity:
 
 # Golden reports of every network estimator, compared as float.hex so a
 # refactor of the training loop cannot move a single bit (not even the
-# sign of a zero). Each case is (estimator id, config overrides on TINY
-# with a trace, jobs); the lr cases diverge on purpose and pin the
-# failure records as well as any run that survives.
+# sign of a zero), one set per OpenBLAS kernel. Each case is (estimator
+# id, config overrides on TINY with a trace, jobs); the lr cases diverge
+# on purpose and pin the failure records as well as any run that survives.
 _GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_network_estimators.json")
 _NETWORK_IDS = ("cmigan", "migan", "midiffgan", "fmine", "midiff-fmine")
 _GOLDEN_CASES = {
@@ -537,17 +543,33 @@ def _golden_report(case: str) -> dict:
 
 @pytest.fixture(scope="module")
 def golden():
+    """The golden file's sets, keyed by OpenBLAS kernel."""
     with open(_GOLDEN_PATH, encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def test_golden_cases_are_all_pinned(golden):
-    assert sorted(golden) == sorted(_GOLDEN_CASES)
+    assert "SkylakeX" in golden
+    for reports in golden.values():
+        assert sorted(reports) == sorted(_GOLDEN_CASES)
 
 
 @pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
 def test_golden_reports_bitwise(golden, case):
-    assert _golden_report(case) == golden[case]
+    assert _golden_report(case) == core_set(golden)[case]
+
+
+def test_pinned_set_lookup_names_the_kernel_and_the_recording_command(monkeypatch):
+    sets = {"SkylakeX": {"case": "0x1.0000000000000p+0"}}
+    monkeypatch.setattr(oracle_tools, "blas_core", lambda: "SkylakeX")
+    assert core_set(sets) == sets["SkylakeX"]
+    monkeypatch.setattr(oracle_tools, "blas_core", lambda: "Sandybridge")
+    with pytest.raises(pytest.fail.Exception) as failure:
+        core_set(sets)
+    assert str(failure.value) == (
+        "no pinned set for blas_core() = 'Sandybridge'; "
+        "record one with `PYTHONPATH=src python tests/record_pins.py`"
+    )
 
 
 def _check_run_accounting(report: dict, runs: int, seed: int):
@@ -563,7 +585,8 @@ def _check_run_accounting(report: dict, runs: int, seed: int):
 @pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
 def test_golden_run_accounting(golden, case):
     _, overrides, _ = _GOLDEN_CASES[case]
-    _check_run_accounting(golden[case], overrides.get("runs", TINY.runs), TINY.seed)
+    for reports in golden.values():
+        _check_run_accounting(reports[case], overrides.get("runs", TINY.runs), TINY.seed)
 
 
 def test_midiff_fmine_records_a_run_failing_in_both_terms_once():

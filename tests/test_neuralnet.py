@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,8 @@ from cmigan.neuralnet import (
     rmsprop_step,
     rmsprop_update,
 )
+
+from oracle_tools import core_set, hex_floats
 
 
 def test_spec_shapes_and_validation():
@@ -150,8 +153,9 @@ def test_gradient_check_worst_error_pinned():
 
 def _signed_zero_net():
     """A 2-(3,2)-1 net, a batch and an upstream gradient whose first-layer
-    pre-activations hold an exact +0.0 (``1 - 2*0.5``) and an exact -0.0
-    (a product that underflows to -0.0, plus a -0.0 bias)."""
+    pre-activations hold an exact +0.0 (``1 - 2*0.5``) and an exact zero
+    whose sign the BLAS kernel decides (products that underflow to -0.0,
+    plus a -0.0 bias: -0.0 on SkylakeX, +0.0 on Haswell)."""
     spec = MLPSpec(2, (3, 2), 1)
     weights = [
         np.array([[-1e-200, 1.0, 0.5], [-1e-200, -0.5, 0.25]]),
@@ -164,39 +168,30 @@ def _signed_zero_net():
     return MLPParams(spec, weights, biases), batch, upstream
 
 
+# the pre-activations and gradients of _signed_zero_net, one set per OpenBLAS kernel
+_SIGNED_ZERO_PATH = os.path.join(os.path.dirname(__file__), "golden_signed_zero_backward.json")
+
+
+def _signed_zero_pins() -> dict:
+    """:func:`_signed_zero_net`'s first-layer pre-activations and its
+    gradients from :func:`mlp_backward`, as float.hex strings."""
+    params, batch, upstream = _signed_zero_net()
+    grads = mlp_backward(params, batch, upstream)
+    return hex_floats({
+        "pre_activations": (batch @ params.weights[0] + params.biases[0]).ravel().tolist(),
+        "weights": [w.ravel().tolist() for w in grads.weights],
+        "biases": [b.tolist() for b in grads.biases],
+        "inputs": grads.inputs.ravel().tolist(),
+    })
+
+
 def test_backward_at_signed_zero_pre_activations_pinned():
     params, batch, upstream = _signed_zero_net()
     pre = batch @ params.weights[0] + params.biases[0]
     assert pre[1, 1] == 0.0 and not np.signbit(pre[1, 1])
-    assert pre[0, 0] == 0.0 and np.signbit(pre[0, 0])
-    grads = mlp_backward(params, batch, upstream)
-
-    def hexes(arrays):
-        return [[float(v).hex() for v in a.ravel()] for a in arrays]
-
-    assert hexes(grads.weights) == [
-        [
-            "-0x1.c000000000000p+2", "0x1.8000000000000p+0", "-0x1.7a00000000000p+2",
-            "0x1.c000000000000p+1", "-0x1.8000000000000p-1", "-0x1.2000000000000p-1",
-        ],
-        [
-            "0x1.25eed8ffb39c1p-664", "-0x1.87e92154ef7acp-664", "0x0.0p+0",
-            "0x1.e000000000000p+1", "-0x1.6800000000000p+0", "0x1.8000000000000p-1",
-        ],
-        ["-0x1.6800000000000p-1", "-0x1.9999999999978p-6"],
-    ]
-    assert hexes(grads.biases) == [
-        ["0x1.c000000000000p+2", "0x1.0000000000000p-2", "-0x1.d400000000000p+1"],
-        ["0x1.2000000000000p+0", "-0x1.c000000000000p+1"],
-        ["0x1.0000000000000p-1"],
-    ]
-    assert hexes([grads.inputs]) == [
-        [
-            "-0x1.0000000000000p-1", "0x1.0000000000000p-2", "-0x1.6800000000000p-1",
-            "-0x1.6800000000000p-2", "-0x1.56ebfd2a518b6p-662", "-0x1.56ebfd2a518b6p-662",
-            "-0x1.8000000000000p-2", "-0x1.e000000000000p-1",
-        ]
-    ]
+    assert pre[0, 0] == 0.0
+    with open(_SIGNED_ZERO_PATH, encoding="utf-8") as fh:
+        assert _signed_zero_pins() == core_set(json.load(fh))
 
 
 def test_backward_without_input_grad_matches_full_backward():
@@ -267,6 +262,20 @@ def _contract_cases():
             yield params, rng.normal(size=(rows, 3)), rng.normal(size=(rows, 2)), buffers
 
 
+def _assert_flagged_grads_equal(grads, fresh, input_grad, param_grads):
+    """``grads`` holds exactly the gradients its flags asked for, each
+    bitwise equal to ``fresh``'s."""
+    if param_grads:
+        for a, b in zip(grads.weights + grads.biases, fresh.weights + fresh.biases):
+            assert a.tobytes() == b.tobytes()
+    else:
+        assert grads.weights == [] and grads.biases == []
+    if input_grad:
+        assert grads.inputs.tobytes() == fresh.inputs.tobytes()
+    else:
+        assert grads.inputs is None
+
+
 def test_bitwise_contract_cached_backward_equals_full_backward():
     # each pass reuses buffers that the passes before it dirtied, and never
     # writes the caller's batch or upstream gradient
@@ -281,15 +290,7 @@ def test_bitwise_contract_cached_backward_equals_full_backward():
             assert cache.layer_inputs == []
             assert batch.tobytes() == batch_bytes
             assert upstream.tobytes() == upstream_bytes
-            if param_grads:
-                for a, b in zip(grads.weights + grads.biases, fresh.weights + fresh.biases):
-                    assert a.tobytes() == b.tobytes()
-            else:
-                assert grads.weights == [] and grads.biases == []
-            if input_grad:
-                assert grads.inputs.tobytes() == fresh.inputs.tobytes()
-            else:
-                assert grads.inputs is None
+            _assert_flagged_grads_equal(grads, fresh, input_grad, param_grads)
 
 
 def test_bitwise_contract_second_backward_on_a_cache_raises():
@@ -302,14 +303,19 @@ def test_bitwise_contract_second_backward_on_a_cache_raises():
                 mlp_backward_cached(params, cache, upstream, **flags)
 
 
-def test_bitwise_contract_backward_after_an_uncached_forward_raises():
-    # an uncached forward through the set clears the cache a cached one left
+def test_bitwise_contract_backward_after_mlp_forward_equals_full_backward():
+    # every forward through the set leaves its cache: the backward after an
+    # mlp_forward propagates that forward, not the cached one before it
+    rng = np.random.default_rng(24)
     for params, batch, upstream, buffers in _contract_cases():
-        mlp_forward_cached(params, batch, buffers=buffers)
-        mlp_forward(params, batch, buffers=buffers)
-        assert buffers.layer_inputs == []
-        with pytest.raises(ValueError, match="consumes its forward cache"):
-            mlp_backward_cached(params, buffers, upstream)
+        fresh = mlp_backward(params, batch, upstream)
+        for input_grad, param_grads in _FLAG_PAIRS:
+            mlp_forward_cached(params, rng.normal(size=(16, 3)), buffers=buffers)
+            mlp_forward(params, batch, buffers=buffers)
+            grads = mlp_backward_cached(
+                params, buffers, upstream, input_grad=input_grad, param_grads=param_grads
+            )
+            _assert_flagged_grads_equal(grads, fresh, input_grad, param_grads)
 
 
 def test_bitwise_contract_backward_follows_the_last_cached_forward():
