@@ -287,8 +287,8 @@ def mlp_backward_cached(
     ``inputs=None``, for callers that only update the parameters; with
     ``param_grads=False`` it forms no weight or bias gradient and returns
     empty lists, for callers that only chain the input gradient into
-    another network. The gradients are
-    views into ``buffers``, valid until its next backward pass.
+    another network. The gradients are views into ``buffers``, valid
+    until its next backward pass.
     """
     layer_inputs = buffers.layer_inputs
     if not layer_inputs:
